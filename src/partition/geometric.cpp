@@ -314,17 +314,18 @@ std::vector<i64> recursive_bisection(rt::Process& p, const GeoColView& g,
     // Split the groups and reassign members.
     std::vector<i64> left_child(groups.size(), -1), right_child(groups.size(), -1);
     for (std::size_t s = 0; s < na; ++s) {
-      Group& gr = groups[static_cast<std::size_t>(active[s])];
-      const i64 mid = (gr.part_lo + gr.part_hi) / 2;
-      const Group left{gr.part_lo, mid};
-      const Group right{mid, gr.part_hi};
-      left_child[static_cast<std::size_t>(active[s])] =
-          static_cast<i64>(groups.size());
+      const auto parent = static_cast<std::size_t>(active[s]);
+      const i64 lo_part = groups[parent].part_lo;
+      const i64 mid = (lo_part + groups[parent].part_hi) / 2;
+      const Group left{lo_part, mid};
+      const Group right{mid, groups[parent].part_hi};
+      left_child[parent] = static_cast<i64>(groups.size());
       groups.push_back(left);
-      right_child[static_cast<std::size_t>(active[s])] =
-          static_cast<i64>(groups.size());
+      right_child[parent] = static_cast<i64>(groups.size());
       groups.push_back(right);
-      gr.part_hi = gr.part_lo;  // mark the parent as exhausted
+      // Re-indexed, not through a reference taken above: the pushes may
+      // have reallocated the vector.
+      groups[parent].part_hi = lo_part;  // mark the parent as exhausted
     }
     for (i64 l = 0; l < n; ++l) {
       const i64 old = group_of[static_cast<std::size_t>(l)];
