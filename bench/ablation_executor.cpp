@@ -1,16 +1,15 @@
 // Ablation C: executor memory layout. The executor (Phase E of Figure 2)
 // runs every timestep through a reused schedule, so its per-sweep cost is
-// the whole point of the inspector/executor split. Two layouts of the same
-// gather + scatter-reduce sweep:
-//   nested — the seed's layout: per-destination std::vector pack buffers and
-//            the nested-vector rt::alltoallv, reallocated on every call;
-//   csr_ws — the CSR-flattened CommSchedule driven through a reusable
-//            ExecutorWorkspace and rt::alltoallv_flat (this PR).
+// the whole point of the inspector/executor split. The gather +
+// scatter-reduce sweep measured here drives the CSR-flattened CommSchedule
+// through a reusable ExecutorWorkspace and rt::alltoallv_flat ("csr_ws").
 // Measured per config: element throughput (machine-total gather+scatter
 // elements per host wall second) and heap allocations per sweep per rank,
-// counted by a global operator new hook — the csr_ws layout must come out
-// at exactly zero after its first (warmup) sweep. Results go to
-// BENCH_executor.json so the perf trajectory is tracked from PR to PR.
+// counted by a global operator new hook — it must come out at exactly zero
+// after the first (warmup) sweep. Results go to BENCH_executor.json so the
+// perf trajectory is tracked from PR to PR. The nested-vector baseline this
+// bench once carried is retired; its last numbers are the "nested" rows of
+// BENCH_executor.json in git history.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -72,64 +71,10 @@ using chaos::i64;
 
 namespace {
 
-// --- the seed's nested-vector movers, kept verbatim as the baseline --------
-
-void gather_nested(rt::Process& p, const core::CommSchedule& schedule,
-                   std::span<const f64> local, std::span<f64> ghost) {
-  std::vector<std::vector<f64>> outgoing(
-      static_cast<std::size_t>(schedule.nprocs()));
-  i64 packed = 0;
-  for (int d = 0; d < schedule.nprocs(); ++d) {
-    auto seg = schedule.send_to(d);
-    outgoing[static_cast<std::size_t>(d)].reserve(seg.size());
-    for (i64 l : seg) {
-      outgoing[static_cast<std::size_t>(d)].push_back(
-          local[static_cast<std::size_t>(l)]);
-      ++packed;
-    }
-  }
-  auto incoming = rt::alltoallv(p, outgoing);
-  i64 slot = 0;
-  for (const auto& block : incoming) {
-    for (f64 v : block) ghost[static_cast<std::size_t>(slot++)] = v;
-  }
-  p.clock().charge_ops(packed + slot, p.params().mem_us_per_word);
-}
-
-void scatter_nested(rt::Process& p, const core::CommSchedule& schedule,
-                    std::span<f64> local, std::span<const f64> ghost,
-                    core::ReduceOp op) {
-  std::vector<std::vector<f64>> outgoing(
-      static_cast<std::size_t>(schedule.nprocs()));
-  i64 slot = 0;
-  for (int s = 0; s < schedule.nprocs(); ++s) {
-    const i64 c = schedule.recv_count(s);
-    outgoing[static_cast<std::size_t>(s)].reserve(static_cast<std::size_t>(c));
-    for (i64 k = 0; k < c; ++k) {
-      outgoing[static_cast<std::size_t>(s)].push_back(
-          ghost[static_cast<std::size_t>(slot++)]);
-    }
-  }
-  auto incoming = rt::alltoallv(p, outgoing);
-  i64 applied = 0;
-  for (int d = 0; d < schedule.nprocs(); ++d) {
-    auto seg = schedule.send_to(d);
-    const auto& block = incoming[static_cast<std::size_t>(d)];
-    for (std::size_t k = 0; k < seg.size(); ++k) {
-      f64& dst = local[static_cast<std::size_t>(seg[k])];
-      dst = core::apply_reduce(op, dst, block[k]);
-      ++applied;
-    }
-  }
-  p.clock().charge_ops(slot + applied, p.params().mem_us_per_word);
-  p.clock().charge_ops(applied, p.params().flop_us);
-}
-
 // --- configs ----------------------------------------------------------------
 
 struct ConfigResult {
   std::string workload;
-  std::string layout;  // "nested" or "csr_ws"
   int procs = 0;
   int sweeps = 0;
   i64 ghost_total = 0;     // machine-total ghost slots (one gather's volume)
@@ -143,24 +88,24 @@ struct ConfigResult {
 
 constexpr int kSweeps = 40;
 
-/// One layout run: localize @p make_refs's references against a BLOCK
-/// distribution of @p nnodes, warm up one sweep, then time kSweeps fenced
-/// gather+scatter sweeps while counting heap allocations.
+/// One run: localize @p make_refs's references against a BLOCK distribution
+/// of @p nnodes, warm up one sweep, then time kSweeps fenced gather+scatter
+/// sweeps while counting heap allocations.
 template <typename MakeRefs>
-ConfigResult run_config(const std::string& workload, const std::string& layout,
-                        int procs, i64 nnodes, MakeRefs&& make_refs) {
+ConfigResult run_config(const std::string& workload, int procs, i64 nnodes,
+                        MakeRefs&& make_refs) {
   ConfigResult r;
   r.workload = workload;
-  r.layout = layout;
   r.procs = procs;
   r.sweeps = kSweeps;
-  const bool csr = layout == "csr_ws";
 
   rt::Machine& machine = bench::pooled_machine(procs);
   machine.run([&](rt::Process& p) {
     auto d = dist::Distribution::block(p, nnodes);
     const std::vector<i64> refs = make_refs(p);
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
 
     dist::DistributedArray<f64> x(p, d, 1.0);
     x.fill_by_global([](i64 g) { return static_cast<f64>(g % 97); });
@@ -170,16 +115,11 @@ ConfigResult run_config(const std::string& workload, const std::string& layout,
 
     const i64 ghost_total = rt::allreduce_sum(p, loc.schedule.nghost);
 
-    // Warmup sweep: sizes the workspace (csr_ws) / faults in the allocator
-    // arenas (nested) so the measured window is steady state.
-    if (csr) {
-      core::gather_ghosts<f64>(p, loc.schedule, x.local(), x.ghost(), ws);
-      core::scatter_reduce<f64>(p, loc.schedule, x.local(), acc,
-                                core::ReduceOp::Add, ws);
-    } else {
-      gather_nested(p, loc.schedule, x.local(), x.ghost());
-      scatter_nested(p, loc.schedule, x.local(), acc, core::ReduceOp::Add);
-    }
+    // Warmup sweep: sizes the workspace so the measured window is steady
+    // state.
+    core::gather_ghosts<f64>(p, loc.schedule, x.local(), x.ghost(), ws);
+    core::scatter_reduce<f64>(p, loc.schedule, x.local(), acc,
+                              core::ReduceOp::Add, ws);
 
     rt::barrier(p);
     const long long allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
@@ -187,14 +127,9 @@ ConfigResult run_config(const std::string& workload, const std::string& layout,
     rt::ClockSection section(p.clock());
     const i64 bytes0 = p.stats().alltoallv_bytes;
     for (int sweep = 0; sweep < kSweeps; ++sweep) {
-      if (csr) {
-        core::gather_ghosts<f64>(p, loc.schedule, x.local(), x.ghost(), ws);
-        core::scatter_reduce<f64>(p, loc.schedule, x.local(), acc,
-                                  core::ReduceOp::Add, ws);
-      } else {
-        gather_nested(p, loc.schedule, x.local(), x.ghost());
-        scatter_nested(p, loc.schedule, x.local(), acc, core::ReduceOp::Add);
-      }
+      core::gather_ghosts<f64>(p, loc.schedule, x.local(), x.ghost(), ws);
+      core::scatter_reduce<f64>(p, loc.schedule, x.local(), acc,
+                                core::ReduceOp::Add, ws);
     }
     rt::barrier(p);
     const f64 modeled = rt::allreduce_max(p, section.elapsed_sec());
@@ -248,29 +183,20 @@ bool write_json(const std::vector<ConfigResult>& results) {
   std::fprintf(f, "  \"configs\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    // The nested row with the same (workload, procs) is this row's baseline.
-    f64 speedup = 0.0;
-    for (const auto& base : results) {
-      if (base.layout == "nested" && base.workload == r.workload &&
-          base.procs == r.procs && base.elems_per_sec > 0) {
-        speedup = r.elems_per_sec / base.elems_per_sec;
-      }
-    }
     std::fprintf(f,
-                 "    {\"workload\": \"%s\", \"layout\": \"%s\", "
+                 "    {\"workload\": \"%s\", \"layout\": \"csr_ws\", "
                  "\"procs\": %d, \"ghost_total\": %lld, "
                  "\"elements_total\": %lld, \"wall_seconds\": %.6f, "
                  "\"elems_per_sec_wall\": %.0f, "
                  "\"allocs_per_sweep_per_rank\": %.2f, "
                  "\"modeled_seconds\": %.6f, "
-                 "\"alltoallv_bytes_modeled\": %lld, "
-                 "\"speedup_vs_nested\": %.3f}%s\n",
-                 r.workload.c_str(), r.layout.c_str(), r.procs,
+                 "\"alltoallv_bytes_modeled\": %lld}%s\n",
+                 r.workload.c_str(), r.procs,
                  static_cast<long long>(r.ghost_total),
                  static_cast<long long>(r.elements_total), r.wall_seconds,
                  r.elems_per_sec, r.allocs_per_sweep_per_rank,
                  r.modeled_seconds,
-                 static_cast<long long>(r.alltoallv_bytes), speedup,
+                 static_cast<long long>(r.alltoallv_bytes),
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -279,9 +205,9 @@ bool write_json(const std::vector<ConfigResult>& results) {
 }
 
 void print_result(const ConfigResult& r) {
-  std::printf("%-18s %-8s P=%-3d %10lld ghosts %12.0f elems/s %8.2f "
+  std::printf("%-18s P=%-3d %10lld ghosts %12.0f elems/s %8.2f "
               "allocs/sweep/rank %10.3f s wall\n",
-              r.workload.c_str(), r.layout.c_str(), r.procs,
+              r.workload.c_str(), r.procs,
               static_cast<long long>(r.ghost_total), r.elems_per_sec,
               r.allocs_per_sweep_per_rank, r.wall_seconds);
   std::fflush(stdout);
@@ -290,8 +216,8 @@ void print_result(const ConfigResult& r) {
 }  // namespace
 
 int main() {
-  std::printf("Ablation C: executor layout — nested-vector schedule vs "
-              "CSR + reusable workspace\n");
+  std::printf("Ablation C: executor layout — CSR schedule + reusable "
+              "workspace\n");
   std::printf("%d gather+scatter sweeps per config, barrier-fenced; heap "
               "allocations counted globally\n\n",
               kSweeps);
@@ -302,12 +228,10 @@ int main() {
   // BLOCK node distribution.
   {
     const auto w = bench::workload_mesh_53k();
-    for (const char* layout : {"nested", "csr_ws"}) {
-      results.push_back(run_config(
-          "53k_mesh", layout, 16, w.nnodes,
-          [&](rt::Process& p) { return mesh_endpoint_refs(p, w); }));
-      print_result(results.back());
-    }
+    results.push_back(run_config("53k_mesh", 16, w.nnodes, [&](rt::Process& p) {
+      return mesh_endpoint_refs(p, w);
+    }));
+    print_result(results.back());
   }
 
   // Synthetic P=64: uniform random references, ~63/64 off-process — the
@@ -315,48 +239,32 @@ int main() {
   {
     constexpr i64 kNodes = 1 << 17;
     constexpr i64 kRefsPerRank = 24 * 1024;
-    for (const char* layout : {"nested", "csr_ws"}) {
-      results.push_back(run_config(
-          "synthetic_p64", layout, 64, kNodes, [&](rt::Process& p) {
-            chaos::wl::Rng rng(911 + static_cast<chaos::u64>(p.rank()) * 131);
-            std::vector<i64> refs(static_cast<std::size_t>(kRefsPerRank));
-            for (auto& v : refs) v = rng.below(kNodes);
-            return refs;
-          }));
-      print_result(results.back());
-    }
+    results.push_back(
+        run_config("synthetic_p64", 64, kNodes, [&](rt::Process& p) {
+          chaos::wl::Rng rng(911 + static_cast<chaos::u64>(p.rank()) * 131);
+          std::vector<i64> refs(static_cast<std::size_t>(kRefsPerRank));
+          for (auto& v : refs) v = rng.below(kNodes);
+          return refs;
+        }));
+    print_result(results.back());
   }
 
   if (write_json(results)) std::printf("\nwrote BENCH_executor.json\n");
 
-  // Hard gates this PR claims (checked here so CI smoke fails loudly).
+  // Hard gate (checked here so CI smoke fails loudly).
   int rc = 0;
   for (const auto& r : results) {
-    if (r.layout == "csr_ws" && r.allocs_per_sweep_per_rank != 0.0) {
+    if (r.allocs_per_sweep_per_rank != 0.0) {
       std::fprintf(stderr,
-                   "FAIL: %s csr_ws performed %.2f heap allocations per "
-                   "sweep per rank (want 0)\n",
+                   "FAIL: %s performed %.2f heap allocations per sweep per "
+                   "rank (want 0)\n",
                    r.workload.c_str(), r.allocs_per_sweep_per_rank);
       rc = 1;
     }
   }
-  for (const auto& r : results) {
-    if (r.layout != "csr_ws" || r.workload != "53k_mesh") continue;
-    for (const auto& base : results) {
-      if (base.layout == "nested" && base.workload == r.workload &&
-          base.elems_per_sec > 0 &&
-          r.elems_per_sec < 1.3 * base.elems_per_sec) {
-        std::fprintf(stderr,
-                     "FAIL: 53k_mesh csr_ws throughput %.0f elems/s is under "
-                     "1.3x the nested baseline %.0f\n",
-                     r.elems_per_sec, base.elems_per_sec);
-        rc = 1;
-      }
-    }
-  }
   if (rc == 0) {
-    std::printf("\nPASS: csr_ws is allocation-free per sweep and >=1.3x "
-                "nested throughput on the 53K mesh\n");
+    std::printf("\nPASS: the executor sweep is allocation-free at P=16 and "
+                "P=64\n");
   }
   return rc;
 }

@@ -1,22 +1,17 @@
 // Ablation D: inspector memory layout + translation caching. The inspector
 // is the cost that schedule reuse amortizes (Section 3) — but workloads that
 // invalidate reuse (adaptive meshes) re-run it, so its own constant matters.
-// Two implementations of the same localize:
-//   seed     — the historical layout: translate EVERY reference through the
-//              distribution (duplicates included), then dedup off-process
-//              references with std::unordered_map<pair> and build nested
-//              per-peer request vectors; everything reallocated per call;
-//   dedup_ws — this PR: duplicate globals collapsed through the
-//              InspectorWorkspace's flat dedup table BEFORE the locate, a
-//              persistent dist::TranslationCache absorbing warm locate
-//              rounds, and every buffer reused — zero heap allocations per
-//              warm re-inspection.
+// The localize measured here collapses duplicate globals through the
+// InspectorWorkspace's flat dedup table BEFORE the locate, lets a persistent
+// dist::TranslationCache absorb warm locate rounds, and reuses every buffer.
 // Measured per config: reference throughput (machine-total localized
 // references per host wall second), heap allocations per warm re-inspection
 // per rank (operator-new hook; must be exactly 0), translation-table locate
 // queries (must not exceed distinct refs + cache misses), and locate wire
-// bytes (request+reply words actually exchanged; the cache must cut >= 3x).
-// Results go to BENCH_inspector.json.
+// bytes (request+reply words actually exchanged). Results go to
+// BENCH_inspector.json. The translate-first unordered_map baseline this
+// bench once carried is retired; its last numbers are the "seed" rows of
+// BENCH_inspector.json in git history.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -24,7 +19,6 @@
 #include <memory>
 #include <new>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -73,111 +67,14 @@ namespace rt = chaos::rt;
 namespace dist = chaos::dist;
 namespace core = chaos::core;
 using chaos::f64;
-using chaos::i32;
 using chaos::i64;
-using chaos::u64;
 
 namespace {
-
-// --- the historical localize, kept verbatim as the baseline -----------------
-
-struct SeedPairHash {
-  std::size_t operator()(const std::pair<i32, i64>& k) const {
-    return static_cast<std::size_t>(dist::detail::mix64(
-        (static_cast<u64>(static_cast<chaos::u32>(k.first)) << 40) ^
-        static_cast<u64>(k.second)));
-  }
-};
-
-core::Localized seed_localize(rt::Process& p, const dist::Distribution& d,
-                              std::span<const i64> global_refs) {
-  core::Localized out;
-  out.refs.resize(global_refs.size());
-
-  // Translate every reference, duplicates included.
-  const auto entries = d.locate(p, global_refs);
-
-  const i64 nlocal = d.my_local_size();
-  std::unordered_map<std::pair<i32, i64>, i64, SeedPairHash> ordinal_of;
-  ordinal_of.reserve(global_refs.size());
-  std::vector<std::vector<i64>> requests(static_cast<std::size_t>(p.nprocs()));
-  struct Pending {
-    std::size_t pos;
-    i32 owner;
-    i64 ordinal;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(global_refs.size());
-
-  for (std::size_t i = 0; i < global_refs.size(); ++i) {
-    const auto& e = entries[i];
-    if (e.proc == p.rank()) {
-      out.refs[i] = e.local;
-      continue;
-    }
-    ++out.off_process_refs;
-    auto [it, inserted] = ordinal_of.try_emplace(
-        {e.proc, e.local},
-        static_cast<i64>(requests[static_cast<std::size_t>(e.proc)].size()));
-    if (inserted) {
-      requests[static_cast<std::size_t>(e.proc)].push_back(e.local);
-    }
-    pending.push_back(Pending{i, e.proc, it->second});
-  }
-  p.clock().charge_ops(static_cast<i64>(global_refs.size()) +
-                           2 * out.off_process_refs,
-                       p.params().mem_us_per_word);
-
-  std::vector<i64> recv_offsets(static_cast<std::size_t>(p.nprocs()) + 1, 0);
-  for (int r = 0; r < p.nprocs(); ++r) {
-    recv_offsets[static_cast<std::size_t>(r) + 1] =
-        recv_offsets[static_cast<std::size_t>(r)] +
-        static_cast<i64>(requests[static_cast<std::size_t>(r)].size());
-  }
-  for (const auto& pe : pending) {
-    out.refs[pe.pos] =
-        nlocal + recv_offsets[static_cast<std::size_t>(pe.owner)] + pe.ordinal;
-  }
-
-  std::vector<i64> req_counts(static_cast<std::size_t>(p.nprocs()));
-  for (int r = 0; r < p.nprocs(); ++r) {
-    req_counts[static_cast<std::size_t>(r)] =
-        recv_offsets[static_cast<std::size_t>(r) + 1] -
-        recv_offsets[static_cast<std::size_t>(r)];
-  }
-  std::vector<i64> send_counts(static_cast<std::size_t>(p.nprocs()));
-  rt::alltoall<i64>(p, req_counts, send_counts);
-
-  std::vector<i64> send_offsets(static_cast<std::size_t>(p.nprocs()) + 1, 0);
-  for (int r = 0; r < p.nprocs(); ++r) {
-    send_offsets[static_cast<std::size_t>(r) + 1] =
-        send_offsets[static_cast<std::size_t>(r)] +
-        send_counts[static_cast<std::size_t>(r)];
-  }
-  const i64 total_ghost = recv_offsets[static_cast<std::size_t>(p.nprocs())];
-  std::vector<i64> flat_requests;
-  flat_requests.reserve(static_cast<std::size_t>(total_ghost));
-  for (const auto& r : requests) {
-    flat_requests.insert(flat_requests.end(), r.begin(), r.end());
-  }
-  std::vector<i64> send_indices(static_cast<std::size_t>(
-      send_offsets[static_cast<std::size_t>(p.nprocs())]));
-  rt::alltoallv_flat<i64>(p, flat_requests, recv_offsets, send_indices,
-                          send_offsets);
-
-  out.schedule.send_indices = std::move(send_indices);
-  out.schedule.send_offsets = std::move(send_offsets);
-  out.schedule.recv_offsets = std::move(recv_offsets);
-  out.schedule.nghost = total_ghost;
-  out.schedule.nlocal_at_build = nlocal;
-  return out;
-}
 
 // --- configs ----------------------------------------------------------------
 
 struct ConfigResult {
   std::string workload;
-  std::string layout;  // "seed" or "dedup_ws"
   int procs = 0;
   int sweeps = 0;
   i64 refs_total = 0;      // machine-total references per inspection
@@ -202,14 +99,12 @@ constexpr i64 kWireBytesPerQuery =
     static_cast<i64>(sizeof(i64) + sizeof(dist::Entry));
 
 template <typename MakeRefs>
-ConfigResult run_config(const std::string& workload, const std::string& layout,
-                        int procs, i64 nnodes, MakeRefs&& make_refs) {
+ConfigResult run_config(const std::string& workload, int procs, i64 nnodes,
+                        MakeRefs&& make_refs) {
   ConfigResult r;
   r.workload = workload;
-  r.layout = layout;
   r.procs = procs;
   r.sweeps = kSweeps;
-  const bool ws_layout = layout == "dedup_ws";
 
   rt::Machine& machine = bench::pooled_machine(procs);
   machine.run([&](rt::Process& p) {
@@ -224,26 +119,16 @@ ConfigResult run_config(const std::string& workload, const std::string& layout,
     auto d = dist::Distribution::irregular_from_map(p, map_slice, *md);
     const std::vector<i64> refs = make_refs(p);
 
-    // The cache's fixed storage (2^18 slots) is only paid by the layout
-    // that probes it.
-    std::unique_ptr<dist::TranslationCache> cache;
+    auto cache = std::make_unique<dist::TranslationCache>(1 << 18);
     core::InspectorWorkspace ws;
-    if (ws_layout) {
-      cache = std::make_unique<dist::TranslationCache>(1 << 18);
-      ws.attach_cache(cache.get());
-    }
+    ws.configure(core::PlanOptions{.translation_cache = cache.get()});
     core::Localized out;
 
-    // Warmup: sizes every workspace buffer and fills the cache (dedup_ws) /
-    // faults in the allocator arenas (seed).
+    // Warmup: sizes every workspace buffer and fills the cache.
     for (int sweep = 0; sweep < kWarmupSweeps; ++sweep) {
-      if (ws_layout) {
-        core::localize(p, *d, refs, ws, out);
-      } else {
-        out = seed_localize(p, *d, refs);
-      }
+      core::localize(p, *d, refs, ws, out);
     }
-    const i64 distinct = ws_layout ? ws.last_distinct_refs() : 0;
+    const i64 distinct = ws.last_distinct_refs();
     const i64 refs_total = rt::allreduce_sum(p, static_cast<i64>(refs.size()));
     const i64 distinct_total = rt::allreduce_sum(p, distinct);
 
@@ -252,11 +137,7 @@ ConfigResult run_config(const std::string& workload, const std::string& layout,
     const auto w0 = std::chrono::steady_clock::now();
     rt::ClockSection section(p.clock());
     for (int sweep = 0; sweep < kSweeps; ++sweep) {
-      if (ws_layout) {
-        core::localize(p, *d, refs, ws, out);
-      } else {
-        out = seed_localize(p, *d, refs);
-      }
+      core::localize(p, *d, refs, ws, out);
     }
     rt::barrier(p);
     const f64 modeled = rt::allreduce_max(p, section.elapsed_sec());
@@ -269,11 +150,9 @@ ConfigResult run_config(const std::string& workload, const std::string& layout,
     // Per-rank gate, checked where the per-rank numbers live: the
     // translation table must never see more than the distinct reference set
     // plus the cache misses that had to re-locate.
-    if (ws_layout) {
-      CHAOS_CHECK(ts.queries <= distinct + cache->stats().misses,
-                  "inspector bench: locate query volume exceeds distinct "
-                  "refs + cache misses");
-    }
+    CHAOS_CHECK(ts.queries <= distinct + cache->stats().misses,
+                "inspector bench: locate query volume exceeds distinct "
+                "refs + cache misses");
 
     if (p.is_root()) {
       r.wall_seconds =
@@ -311,15 +190,6 @@ std::vector<i64> mesh_endpoint_refs(rt::Process& p, const bench::Workload& w) {
   return refs;
 }
 
-const ConfigResult* find(const std::vector<ConfigResult>& results,
-                         const std::string& workload,
-                         const std::string& layout) {
-  for (const auto& r : results) {
-    if (r.workload == workload && r.layout == layout) return &r;
-  }
-  return nullptr;
-}
-
 bool write_json(const std::vector<ConfigResult>& results) {
   std::FILE* f = std::fopen("BENCH_inspector.json", "w");
   if (f == nullptr) {
@@ -332,27 +202,16 @@ bool write_json(const std::vector<ConfigResult>& results) {
   std::fprintf(f, "  \"configs\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    f64 speedup = 0.0;
-    f64 wire_cut = 0.0;
-    if (const auto* base = find(results, r.workload, "seed")) {
-      if (base->refs_per_sec > 0) speedup = r.refs_per_sec / base->refs_per_sec;
-      if (r.locate_wire_bytes > 0) {
-        wire_cut = static_cast<f64>(base->locate_wire_bytes) /
-                   static_cast<f64>(r.locate_wire_bytes);
-      }
-    }
     std::fprintf(f,
-                 "    {\"workload\": \"%s\", \"layout\": \"%s\", "
+                 "    {\"workload\": \"%s\", \"layout\": \"dedup_ws\", "
                  "\"procs\": %d, \"refs_total\": %lld, "
                  "\"distinct_total\": %lld, \"wall_seconds\": %.6f, "
                  "\"refs_per_sec_wall\": %.0f, "
                  "\"allocs_per_inspection_per_rank\": %.2f, "
                  "\"locate_queries\": %lld, \"locate_wire_bytes\": %lld, "
                  "\"tcache_hits\": %lld, \"tcache_misses\": %lld, "
-                 "\"modeled_seconds\": %.6f, "
-                 "\"speedup_vs_seed\": %.3f, "
-                 "\"wire_bytes_cut_vs_seed\": %.3f}%s\n",
-                 r.workload.c_str(), r.layout.c_str(), r.procs,
+                 "\"modeled_seconds\": %.6f}%s\n",
+                 r.workload.c_str(), r.procs,
                  static_cast<long long>(r.refs_total),
                  static_cast<long long>(r.distinct_total), r.wall_seconds,
                  r.refs_per_sec, r.allocs_per_inspection_per_rank,
@@ -360,7 +219,7 @@ bool write_json(const std::vector<ConfigResult>& results) {
                  static_cast<long long>(r.locate_wire_bytes),
                  static_cast<long long>(r.tcache_hits),
                  static_cast<long long>(r.tcache_misses), r.modeled_seconds,
-                 speedup, wire_cut, i + 1 < results.size() ? "," : "");
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -368,9 +227,9 @@ bool write_json(const std::vector<ConfigResult>& results) {
 }
 
 void print_result(const ConfigResult& r) {
-  std::printf("%-14s %-9s P=%-3d %11lld refs %12.0f refs/s %8.2f "
+  std::printf("%-14s P=%-3d %11lld refs %12.0f refs/s %8.2f "
               "allocs/insp/rank %10lld locate-wire-B %8.3f s wall\n",
-              r.workload.c_str(), r.layout.c_str(), r.procs,
+              r.workload.c_str(), r.procs,
               static_cast<long long>(r.refs_total), r.refs_per_sec,
               r.allocs_per_inspection_per_rank,
               static_cast<long long>(r.locate_wire_bytes), r.wall_seconds);
@@ -380,8 +239,8 @@ void print_result(const ConfigResult& r) {
 }  // namespace
 
 int main() {
-  std::printf("Ablation D: inspector layout — translate-first unordered_map "
-              "vs dedup-first workspace + translation cache\n");
+  std::printf("Ablation D: inspector layout — dedup-first workspace + "
+              "translation cache\n");
   std::printf("%d warmup + %d measured re-inspections per config, "
               "barrier-fenced; heap allocations counted globally\n\n",
               kWarmupSweeps, kSweeps);
@@ -392,67 +251,44 @@ int main() {
   // each node with ~6.7x mean multiplicity.
   {
     const auto w = bench::workload_mesh_53k();
-    for (const char* layout : {"seed", "dedup_ws"}) {
-      results.push_back(run_config(
-          "53k_mesh", layout, 16, w.nnodes,
-          [&](rt::Process& p) { return mesh_endpoint_refs(p, w); }));
-      print_result(results.back());
-    }
+    results.push_back(run_config("53k_mesh", 16, w.nnodes, [&](rt::Process& p) {
+      return mesh_endpoint_refs(p, w);
+    }));
+    print_result(results.back());
   }
 
   // Synthetic P=64: uniform random references at high rank count.
   {
     constexpr i64 kNodes = 1 << 17;
     constexpr i64 kRefsPerRank = 24 * 1024;
-    for (const char* layout : {"seed", "dedup_ws"}) {
-      results.push_back(run_config(
-          "synthetic_p64", layout, 64, kNodes, [&](rt::Process& p) {
-            chaos::wl::Rng rng(911 + static_cast<chaos::u64>(p.rank()) * 131);
-            std::vector<i64> refs(static_cast<std::size_t>(kRefsPerRank));
-            for (auto& v : refs) v = rng.below(kNodes);
-            return refs;
-          }));
-      print_result(results.back());
-    }
+    results.push_back(
+        run_config("synthetic_p64", 64, kNodes, [&](rt::Process& p) {
+          chaos::wl::Rng rng(911 + static_cast<chaos::u64>(p.rank()) * 131);
+          std::vector<i64> refs(static_cast<std::size_t>(kRefsPerRank));
+          for (auto& v : refs) v = rng.below(kNodes);
+          return refs;
+        }));
+    print_result(results.back());
   }
 
   if (write_json(results)) std::printf("\nwrote BENCH_inspector.json\n");
 
-  // Hard gates this PR claims (checked here so CI smoke fails loudly).
+  // Hard gate (checked here so CI smoke fails loudly); the locate-volume
+  // cap is a per-rank CHAOS_CHECK inside run_config.
   int rc = 0;
   for (const auto& r : results) {
-    if (r.layout != "dedup_ws") continue;
     if (r.allocs_per_inspection_per_rank != 0.0) {
       std::fprintf(stderr,
-                   "FAIL: %s dedup_ws performed %.2f heap allocations per "
-                   "warm re-inspection per rank (want 0)\n",
+                   "FAIL: %s performed %.2f heap allocations per warm "
+                   "re-inspection per rank (want 0)\n",
                    r.workload.c_str(), r.allocs_per_inspection_per_rank);
-      rc = 1;
-    }
-    const auto* base = find(results, r.workload, "seed");
-    if (base == nullptr || base->refs_per_sec <= 0) continue;
-    if (r.refs_per_sec < 2.0 * base->refs_per_sec) {
-      std::fprintf(stderr,
-                   "FAIL: %s dedup_ws throughput %.0f refs/s is under 2x the "
-                   "seed baseline %.0f\n",
-                   r.workload.c_str(), r.refs_per_sec, base->refs_per_sec);
-      rc = 1;
-    }
-    if (r.workload == "53k_mesh" &&
-        r.locate_wire_bytes * 3 > base->locate_wire_bytes) {
-      std::fprintf(stderr,
-                   "FAIL: 53k_mesh dedup_ws locate wire volume %lld B is not "
-                   ">=3x under the seed's %lld B\n",
-                   static_cast<long long>(r.locate_wire_bytes),
-                   static_cast<long long>(base->locate_wire_bytes));
       rc = 1;
     }
   }
   if (rc == 0) {
-    std::printf("\nPASS: dedup_ws is allocation-free per warm re-inspection, "
-                ">=2x seed throughput at P=16 and P=64, locate volume "
-                "capped at distinct+misses, and >=3x less locate wire "
-                "traffic on the 53K mesh\n");
+    std::printf("\nPASS: localize is allocation-free per warm re-inspection "
+                "at P=16 and P=64, with locate volume capped at "
+                "distinct+misses\n");
   }
   return rc;
 }

@@ -160,7 +160,8 @@ PipelineRun run_pipeline(rt::Machine& machine, const bench::Workload& w,
     RankState& s = st[static_cast<std::size_t>(p.rank())];
     if (!s.tcache) {
       s.tcache = std::make_unique<dist::TranslationCache>(1 << 16);
-      s.plan.iws.attach_cache(s.tcache.get());
+      s.plan.iws.configure(
+          core::PlanOptions{.translation_cache = s.tcache.get()});
     }
     // A retried attempt rebuilds the plan in place through warm workspaces;
     // staged-but-uncommitted cache insertions from the aborted attempt are

@@ -127,7 +127,9 @@ void rewire(const dist::Distribution& edist, int rank, i64 nnodes, i64 stride,
 bool schedule_bit_identical(rt::Process& p, const dist::Distribution& d,
                             const core::EdgeLoopPlan& plan) {
   const std::span<const i64> batches[] = {plan.end1, plan.end2};
-  const core::LocalizedMany control = core::localize_many(p, d, batches);
+  core::InspectorWorkspace ws;
+  core::LocalizedMany control;
+  core::localize_many(p, d, batches, ws, control);
   const auto& a = plan.loc.schedule;
   const auto& b = control.schedule;
   return a.send_indices == b.send_indices &&
@@ -173,8 +175,7 @@ FractionResult run_fraction(const bench::Workload& w, int delta_pct) {
     // RepairMode::On pins the splice path (this bench measures the repair
     // mechanism; the Auto threshold policy is covered by core_repair_test).
     auto cache = std::make_unique<dist::TranslationCache>(1 << 18);
-    const core::PlanOptions opts{.flat_locate = true,
-                                 .translation_cache = cache.get(),
+    const core::PlanOptions opts{.translation_cache = cache.get(),
                                  .repair = core::RepairMode::On};
     auto plan = core::EdgeReductionLoop::inspect(
         p, *edist, s1, s2, *d, core::IterRule::MostLocalReferences, opts);

@@ -1,19 +1,15 @@
-// Ablation B: translation-table organization + dereference protocol.
-// PARTI/CHAOS distributes the global-to-local translation table page-wise;
-// the alternative is full replication (O(N) memory per process,
-// zero-communication dereference). Orthogonally, two dereference protocols:
-//   nested — the historical entry point: per-home request vectors, one
-//            request/response round (two nested alltoallv), buffers
-//            reallocated per call;
-//   flat   — this PR: dereference_flat through a reusable
-//            DereferenceWorkspace — counts alltoall + two flat CSR
-//            exchanges (3 collectives), ZERO heap allocations on a warm
-//            repeat call.
-// Measurements per config: per-locate collective rounds, heap allocations
-// per warm locate (operator-new hook; flat must be exactly 0 — a hard gate),
-// modeled seconds, and host wall throughput — written to BENCH_ttable.json
-// so the perf trajectory of the hot path is tracked from PR to PR. The full
-// RCB inspector pipeline page-size sweep rides along for context.
+// Ablation B: translation-table organization. PARTI/CHAOS distributes the
+// global-to-local translation table page-wise; the alternative is full
+// replication (O(N) memory per process, zero-communication dereference).
+// Both answer through TranslationTable::dereference staged in a reusable
+// DereferenceWorkspace: counts alltoall + two flat CSR exchanges
+// (3 collectives) when paged, none when replicated, and ZERO heap
+// allocations on a warm repeat call.
+// Measurements per config: collectives per locate, heap allocations per warm
+// locate (operator-new hook; must be exactly 0 — a hard gate), modeled
+// seconds, and host wall throughput — written to BENCH_ttable.json so the
+// perf trajectory of the hot path is tracked from PR to PR. The full RCB
+// inspector pipeline page-size sweep rides along for context.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -71,12 +67,10 @@ using chaos::i64;
 namespace {
 
 struct ConfigResult {
-  std::string mode;     // "paged" or "replicated"
-  std::string variant;  // "nested" or "flat"
+  std::string mode;  // "paged" or "replicated"
   i64 page_size = 0;
   i64 locate_calls = 0;
-  i64 alltoallv_rounds = 0;   // nested: rank-0 request/response rounds
-  i64 flat_collectives = 0;   // flat: rank-0 collectives (3 per paged call)
+  i64 collectives = 0;        // rank-0 collectives (3 per paged call)
   i64 queries_total = 0;      // machine-total queries over all locate calls
   f64 allocs_per_locate = 0;  // machine-wide heap allocations per warm call
   f64 modeled_seconds = 0.0;
@@ -88,11 +82,9 @@ struct ConfigResult {
 constexpr int kProcs = 16;
 constexpr int kLocateCalls = 4;
 
-ConfigResult run_config(const bench::Workload& w, i64 page, bool repl,
-                        bool flat) {
+ConfigResult run_config(const bench::Workload& w, i64 page, bool repl) {
   ConfigResult r;
   r.mode = repl ? "replicated" : "paged";
-  r.variant = flat ? "flat" : "nested";
   r.page_size = page;
   const auto t0 = std::chrono::steady_clock::now();
   rt::Machine machine(kProcs);
@@ -116,24 +108,18 @@ ConfigResult run_config(const bench::Workload& w, i64 page, bool repl,
       queries.push_back(w.e2[static_cast<std::size_t>(e)]);
     }
 
-    // Flat-path state: caller-owned answers + scratch, warmed by one call
-    // (which both sizes every workspace buffer and checks the answers
-    // against the nested protocol — the two entry points must agree).
+    // Caller-owned answers + scratch, warmed by one call that sizes every
+    // workspace buffer and checks each answer's owner against the map.
     std::vector<dist::Entry> entries;
     dist::DereferenceWorkspace ws;
-    if (flat) {
-      d->locate_flat_into(p, queries, entries, ws);
-      const auto nested = d->locate(p, queries);
-      for (std::size_t i = 0; i < nested.size(); ++i) {
-        CHAOS_CHECK(entries[i].proc == nested[i].proc &&
-                        entries[i].local == nested[i].local,
-                    "ablation_ttable: flat and nested dereference disagree");
-      }
+    d->locate_into(p, queries, entries, ws);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      CHAOS_CHECK(entries[i].proc == (queries[i] * 13 + 5) % p.nprocs(),
+                  "ablation_ttable: dereference disagrees with the map");
     }
 
     const auto& table = *d->table();
-    const i64 rounds_before = table.stats().alltoallv_rounds;
-    const i64 flat_before = table.stats().flat_collectives;
+    const i64 collectives_before = table.stats().collectives;
     // Barrier-fence the loop so the wall measurement covers only the
     // dereference traffic, not machine construction or the table build —
     // and so the allocation window covers exactly the warm locate calls.
@@ -142,12 +128,7 @@ ConfigResult run_config(const bench::Workload& w, i64 page, bool repl,
     const auto w0 = std::chrono::steady_clock::now();
     rt::ClockSection section(p.clock());
     for (int k = 0; k < kLocateCalls; ++k) {
-      if (flat) {
-        d->locate_flat_into(p, queries, entries, ws);
-      } else {
-        auto nested = d->locate(p, queries);
-        (void)nested;
-      }
+      d->locate_into(p, queries, entries, ws);
     }
     rt::barrier(p);
     const long long allocs1 = g_heap_allocs.load(std::memory_order_relaxed);
@@ -155,8 +136,7 @@ ConfigResult run_config(const bench::Workload& w, i64 page, bool repl,
     if (p.is_root()) {
       r.modeled_seconds = modeled;
       r.locate_calls = kLocateCalls;
-      r.alltoallv_rounds = table.stats().alltoallv_rounds - rounds_before;
-      r.flat_collectives = table.stats().flat_collectives - flat_before;
+      r.collectives = table.stats().collectives - collectives_before;
       r.allocs_per_locate = static_cast<f64>(allocs1 - allocs0) /
                             static_cast<f64>(kLocateCalls);
       r.locate_wall_seconds =
@@ -192,25 +172,19 @@ bool write_json(const bench::Workload& w,
   std::fprintf(f, "  \"configs\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    const bool flat = r.variant == "flat";
-    const i64 rounds = flat ? r.flat_collectives : r.alltoallv_rounds;
     std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"variant\": \"%s\", "
-                 "\"page_size\": %lld, "
-                 "\"alltoallv_rounds\": %lld, "
-                 "\"rounds_per_locate\": %.1f, "
+                 "    {\"mode\": \"%s\", \"page_size\": %lld, "
+                 "\"collectives\": %lld, "
                  "\"collectives_per_locate\": %.1f, "
                  "\"allocs_per_locate\": %.2f, "
                  "\"queries_total\": %lld, "
                  "\"modeled_seconds\": %.6f, "
                  "\"locate_wall_seconds\": %.6f, \"wall_seconds\": %.6f, "
                  "\"queries_per_sec_wall\": %.0f}%s\n",
-                 r.mode.c_str(), r.variant.c_str(),
-                 static_cast<long long>(r.page_size),
-                 static_cast<long long>(r.alltoallv_rounds),
-                 static_cast<f64>(r.alltoallv_rounds) /
+                 r.mode.c_str(), static_cast<long long>(r.page_size),
+                 static_cast<long long>(r.collectives),
+                 static_cast<f64>(r.collectives) /
                      static_cast<f64>(r.locate_calls),
-                 static_cast<f64>(rounds) / static_cast<f64>(r.locate_calls),
                  r.allocs_per_locate, static_cast<long long>(r.queries_total),
                  r.modeled_seconds, r.locate_wall_seconds, r.wall_seconds,
                  r.queries_per_sec_wall,
@@ -224,8 +198,7 @@ bool write_json(const bench::Workload& w,
 }  // namespace
 
 int main() {
-  std::printf("Ablation B: translation-table page size / replication / "
-              "dereference protocol\n");
+  std::printf("Ablation B: translation-table page size / replication\n");
   std::printf("53K mesh @ %d procs (modeled seconds + host wall clock; heap "
               "allocations counted globally)\n\n",
               kProcs);
@@ -233,40 +206,29 @@ int main() {
   const auto w = bench::workload_mesh_53k();
 
   // --- 1. dist-layer dereference microbench -> BENCH_ttable.json -----------
-  std::printf("%-24s %10s %12s %12s %14s %12s %16s\n", "table organization",
-              "rounds", "coll/loc", "allocs/loc", "modeled (s)", "loc wall (s)",
+  std::printf("%-24s %11s %12s %12s %14s %12s %16s\n", "table organization",
+              "collectives", "coll/loc", "allocs/loc", "modeled (s)", "loc wall (s)",
               "queries/s (wall)");
   std::vector<ConfigResult> results;
   for (const i64 page : {i64{1}, i64{64}, i64{4096}}) {
-    results.push_back(run_config(w, page, /*repl=*/false, /*flat=*/false));
+    results.push_back(run_config(w, page, /*repl=*/false));
   }
   // Page size is meaningless for a replicated table; report 0 in the JSON
   // so consumers never group it with the paged pg=4096 row. (The table
   // itself still needs a legal page_size >= 1 to build.)
   {
-    auto repl = run_config(w, 4096, /*repl=*/true, /*flat=*/false);
-    repl.page_size = 0;
-    results.push_back(std::move(repl));
-  }
-  // The flat rows: same organizations through dereference_flat.
-  for (const i64 page : {i64{1}, i64{64}, i64{4096}}) {
-    results.push_back(run_config(w, page, /*repl=*/false, /*flat=*/true));
-  }
-  {
-    auto repl = run_config(w, 4096, /*repl=*/true, /*flat=*/true);
+    auto repl = run_config(w, 4096, /*repl=*/true);
     repl.page_size = 0;
     results.push_back(std::move(repl));
   }
   for (const auto& r : results) {
-    const bool flat = r.variant == "flat";
-    std::string label =
+    const std::string label =
         r.mode == "paged" ? "paged, pg=" + std::to_string(r.page_size)
                           : "replicated";
-    if (flat) label += " (flat)";
-    const i64 rounds = flat ? r.flat_collectives : r.alltoallv_rounds;
-    std::printf("%-24s %10lld %12.1f %12.2f %14.3f %12.3f %16.0f\n",
-                label.c_str(), static_cast<long long>(rounds),
-                static_cast<f64>(rounds) / static_cast<f64>(r.locate_calls),
+    std::printf("%-24s %11lld %12.1f %12.2f %14.3f %12.3f %16.0f\n",
+                label.c_str(), static_cast<long long>(r.collectives),
+                static_cast<f64>(r.collectives) /
+                    static_cast<f64>(r.locate_calls),
                 r.allocs_per_locate, r.modeled_seconds, r.locate_wall_seconds,
                 r.queries_per_sec_wall);
     std::fflush(stdout);
@@ -294,34 +256,31 @@ int main() {
   // Hard gates this PR claims (checked here so CI smoke fails loudly).
   int rc = 0;
   for (const auto& r : results) {
-    if (r.variant != "flat") continue;
     if (r.allocs_per_locate != 0.0) {
       std::fprintf(stderr,
-                   "FAIL: %s flat dereference performed %.2f heap allocations "
+                   "FAIL: %s dereference performed %.2f heap allocations "
                    "per warm locate (want 0)\n",
                    r.mode.c_str(), r.allocs_per_locate);
       rc = 1;
     }
-    const f64 per_call = static_cast<f64>(r.flat_collectives) /
+    const f64 per_call = static_cast<f64>(r.collectives) /
                          static_cast<f64>(r.locate_calls);
     const f64 want = r.mode == "paged" ? 3.0 : 0.0;
     if (per_call != want) {
       std::fprintf(stderr,
-                   "FAIL: %s flat dereference spent %.1f collectives per "
+                   "FAIL: %s dereference spent %.1f collectives per "
                    "locate (want %.1f)\n",
                    r.mode.c_str(), per_call, want);
       rc = 1;
     }
   }
   if (rc == 0) {
-    std::printf("\nPASS: flat dereference is allocation-free on warm locates "
+    std::printf("\nPASS: dereference is allocation-free on warm locates "
                 "(paged and replicated), at exactly 3 collectives per paged "
                 "call and 0 replicated\n");
   }
   std::printf("\nshape check: page size barely matters (queries batch per "
               "home anyway); replication removes the dereference exchange at "
-              "O(N) memory per process — the PARTI trade-off. The flat "
-              "protocol trades one extra (cheap) counts collective for "
-              "allocation-free warm locates.\n");
+              "O(N) memory per process — the PARTI trade-off.\n");
   return rc;
 }

@@ -110,7 +110,6 @@ struct Config {
   std::string name;
   bool partitioned = true;
   bool reuse = true;
-  bool flat_locate = true;
 };
 
 struct ModeResult {
@@ -134,7 +133,6 @@ f64 run_once(const lang::Program& prog, const bench::Workload& w,
     lang::Instance inst(prog);
     inst.set_tree_walk(tree_walk);
     inst.set_schedule_reuse(cfg.reuse);
-    inst.set_flat_locate(cfg.flat_locate);
     inst.set_param("NNODE", w.nnodes);
     inst.set_param("NEDGE", w.nedges);
     inst.set_param("NSTEP", nstep);
@@ -315,11 +313,9 @@ int main() {
 
   const auto w = bench::workload_mesh_10k();
   const std::vector<Config> configs = {
-      {"rcb_reuse", /*partitioned=*/true, /*reuse=*/true, /*flat=*/true},
-      {"block_reuse", /*partitioned=*/false, /*reuse=*/true, /*flat=*/true},
-      {"block_noreuse", /*partitioned=*/false, /*reuse=*/false,
-       /*flat=*/true},
-      {"rcb_pagedoff", /*partitioned=*/true, /*reuse=*/true, /*flat=*/false},
+      {"rcb_reuse", /*partitioned=*/true, /*reuse=*/true},
+      {"block_reuse", /*partitioned=*/false, /*reuse=*/true},
+      {"block_noreuse", /*partitioned=*/false, /*reuse=*/false},
   };
 
   std::vector<ConfigResult> results;

@@ -137,9 +137,9 @@ PhaseResult run_hand_pipeline(int procs, const Workload& w,
     // probes it; it binds to data_dist's DAD on the first localize and stays
     // warm across the no-reuse rebuilds — exactly the CHAOS software-caching
     // configuration the flag exists to quantify.
-    core::PlanOptions opts = cfg.effective_plan();
+    core::PlanOptions opts;
     std::unique_ptr<dist::TranslationCache> tcache;
-    if (opts.translation_cache == nullptr && cfg.translation_cache) {
+    if (cfg.translation_cache) {
       tcache = std::make_unique<dist::TranslationCache>(1 << 18);
       opts.translation_cache = tcache.get();
     }
@@ -301,7 +301,6 @@ PhaseResult run_compiler_pipeline(int procs, const Workload& w,
       inst.bind_real("ZC", w.cz);
     }
     inst.set_schedule_reuse(cfg.schedule_reuse);
-    inst.set_options(cfg.effective_plan());
     inst.execute(p);
 
     const auto& ph = inst.phases();

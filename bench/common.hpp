@@ -47,31 +47,13 @@ struct PipelineConfig {
   core::IterRule iter_rule = core::IterRule::MostLocalReferences;
   i64 ttable_page_size = 4096;
   bool ttable_replicated = false;
-  /// Unified plan-construction options (DESIGN.md §14) applied to every plan
-  /// the pipeline builds: flat locate protocol, translation cache, repair
-  /// policy + threshold. Flat locate is on by default in the bench pipelines
-  /// — the committed BENCH baselines are recorded with it — while library
-  /// defaults stay off so unit-test modeled times are untouched. A non-null
-  /// plan.translation_cache pointer is attached as-is (caller owns it).
-  core::PlanOptions plan{.flat_locate = true};
-  /// DEPRECATED (pre-PlanOptions knob): makes the pipeline construct and
-  /// attach its own persistent dist::TranslationCache when plan's pointer is
-  /// null. Pays one allreduce vote per localize and absorbs warm locate
-  /// rounds, so it (correctly) LOWERS modeled times on no-reuse
-  /// configurations — keep rows using it separate from paper-comparison
-  /// rows. Prefer setting plan.translation_cache.
+  /// Makes the pipeline construct and attach its own persistent
+  /// dist::TranslationCache, one per rank (a pointer in this shared config
+  /// could not serve P rank threads). Pays one allreduce vote per localize
+  /// and absorbs warm locate rounds, so it (correctly) LOWERS modeled times
+  /// on no-reuse configurations — keep rows using it separate from
+  /// paper-comparison rows.
   bool translation_cache = false;
-  /// DEPRECATED (pre-PlanOptions knob): still honored — ANDed with
-  /// plan.flat_locate by effective_plan(). Prefer plan.flat_locate.
-  bool flat_locate = true;
-
-  /// The options every plan construction in the pipelines actually uses:
-  /// `plan` with the deprecated bools merged in.
-  [[nodiscard]] core::PlanOptions effective_plan() const {
-    core::PlanOptions o = plan;
-    o.flat_locate = plan.flat_locate && flat_locate;
-    return o;
-  }
   /// Supervision policy for the pipeline run (DESIGN.md §11): the whole
   /// body is one supervised phase, recovered + retried on transient
   /// failures. The default (max_attempts = 1) never retries, so every

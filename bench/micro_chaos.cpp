@@ -8,6 +8,7 @@
 
 #include "core/executor.hpp"
 #include "core/inspector.hpp"
+#include "dist/dereference_workspace.hpp"
 #include "dist/remap.hpp"
 #include "rt/collectives.hpp"
 #include "workload/rng.hpp"
@@ -63,7 +64,9 @@ void BM_Dereference(benchmark::State& state) {
       }
       auto d = dist::Distribution::irregular_from_map(p, slice, *md);
       const auto refs = random_refs(n, queries, 17 + p.rank());
-      auto entries = d->locate(p, refs);
+      std::vector<dist::Entry> entries;
+      dist::DereferenceWorkspace ws;
+      d->locate_into(p, refs, entries, ws);
       benchmark::DoNotOptimize(entries);
     });
   }
@@ -78,7 +81,9 @@ void BM_Localize(benchmark::State& state) {
     rt::Machine::run(kProcs, [&](rt::Process& p) {
       auto d = dist::Distribution::block(p, n);
       const auto refs = random_refs(n, refs_per_proc, 99 + p.rank());
-      auto loc = core::localize(p, *d, refs);
+      core::InspectorWorkspace iws;
+      core::Localized loc;
+      core::localize(p, *d, refs, iws, loc);
       benchmark::DoNotOptimize(loc);
     });
   }
@@ -94,7 +99,9 @@ void BM_GatherScatter(benchmark::State& state) {
       auto d = dist::Distribution::block(p, n);
       dist::DistributedArray<f64> x(p, d, 1.0);
       const auto refs = random_refs(n, refs_per_proc, 7 + p.rank());
-      auto loc = core::localize(p, *d, refs);
+      core::InspectorWorkspace iws;
+      core::Localized loc;
+      core::localize(p, *d, refs, iws, loc);
       x.resize_ghost(loc.schedule.nghost);
       // Steady-state executor idiom: one workspace reused across sweeps,
       // so everything after the first sweep is allocation-free.
@@ -139,7 +146,9 @@ void BM_DedupHashing(benchmark::State& state) {
       for (std::size_t i = 0; i < refs.size(); ++i) {
         refs[i] = static_cast<i64>((i * 37) % 64);
       }
-      auto loc = core::localize(p, *d, refs);
+      core::InspectorWorkspace iws;
+      core::Localized loc;
+      core::localize(p, *d, refs, iws, loc);
       benchmark::DoNotOptimize(loc);
     });
   }

@@ -86,13 +86,10 @@ int main(int argc, char** argv) {
     rd.apply(p, distfmt);
     const f64 remap_sec = t_remap.elapsed_sec();
 
-    // Phase D: inspector, constructed through the unified PlanOptions
-    // surface (flat locate on: the paged protocol the bench baselines use).
+    // Phase D: inspector.
     rt::ClockSection t_insp(p.clock());
-    const core::PlanOptions opts{.flat_locate = true};
     auto plan = core::EdgeReductionLoop::inspect(
-        p, *reg2, e1, e2, *distfmt, core::IterRule::MostLocalReferences,
-        opts);
+        p, *reg2, e1, e2, *distfmt, core::IterRule::MostLocalReferences);
     const f64 insp_sec = t_insp.elapsed_sec();
 
     // Phase E: executor (flux-like kernel, ~30 flops per edge).

@@ -53,8 +53,8 @@ int main() {
 
     // INSPECTOR (collective, once): partitions iterations, builds the
     // communication schedule, assigns ghost-buffer slots. PlanOptions is the
-    // unified construction surface (locate protocol, translation cache,
-    // repair policy) — the defaults are right for a static mesh.
+    // unified construction surface (translation cache, repair policy) — the
+    // defaults are right for a static mesh.
     const core::PlanOptions opts{};
     auto plan = core::EdgeReductionLoop::inspect(
         p, *edge_dist, e1, e2, *node_dist,

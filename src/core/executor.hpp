@@ -54,8 +54,7 @@ constexpr T reduce_identity(ReduceOp op) {
 /// Reusable staging memory for the schedule-driven movers. Buffers grow
 /// monotonically and are sized once from the schedule, so every call after
 /// the first performs zero heap allocations. Plans own one workspace per
-/// loop; the span-based compatibility overloads fall back to a private
-/// throwaway instance.
+/// loop; every mover below takes one.
 template <typename T>
 class ExecutorWorkspace {
  public:
@@ -153,29 +152,13 @@ void gather_ghosts(rt::Process& p, const CommSchedule& schedule,
   gather_unpack(p, schedule);
 }
 
-/// Span-based compatibility overload: stages through a private workspace
-/// (one allocation per call — use the workspace overload in hot loops).
-template <typename T>
-void gather_ghosts(rt::Process& p, const CommSchedule& schedule,
-                   std::span<const T> local, std::span<T> ghost) {
-  ExecutorWorkspace<T> ws;
-  gather_ghosts<T>(p, schedule, local, ghost, ws);
-}
-
-/// Convenience overloads operating on a DistributedArray (resize its ghost
+/// Convenience overload operating on a DistributedArray (resizes its ghost
 /// region to fit the schedule).
 template <typename T>
 void gather_ghosts(rt::Process& p, const CommSchedule& schedule,
                    dist::DistributedArray<T>& a, ExecutorWorkspace<T>& ws) {
   if (a.nghost() != schedule.nghost) a.resize_ghost(schedule.nghost);
   gather_ghosts<T>(p, schedule, a.local(), a.ghost(), ws);
-}
-
-template <typename T>
-void gather_ghosts(rt::Process& p, const CommSchedule& schedule,
-                   dist::DistributedArray<T>& a) {
-  ExecutorWorkspace<T> ws;
-  gather_ghosts<T>(p, schedule, a, ws);
 }
 
 /// Collective scatter-reduce: sends each ghost slot's accumulated value back
@@ -203,20 +186,6 @@ void scatter_reduce(rt::Process& p, const CommSchedule& schedule,
   p.clock().charge_ops(applied, p.params().flop_us);
 }
 
-template <typename T>
-void scatter_reduce(rt::Process& p, const CommSchedule& schedule,
-                    std::span<T> local, std::span<const T> ghost,
-                    ReduceOp op) {
-  ExecutorWorkspace<T> ws;
-  scatter_reduce<T>(p, schedule, local, ghost, op, ws);
-}
-
-template <typename T>
-void scatter_reduce(rt::Process& p, const CommSchedule& schedule,
-                    dist::DistributedArray<T>& a, ReduceOp op) {
-  scatter_reduce<T>(p, schedule, a.local(), a.ghost(), op);
-}
-
 /// Collective scatter-assign: writes ghost values into the owners' elements
 /// (off-process left-hand sides of dependence-free FORALL assignments, loop
 /// L1). The caller guarantees no two iterations write the same element.
@@ -225,13 +194,6 @@ void scatter_assign(rt::Process& p, const CommSchedule& schedule,
                     std::span<T> local, std::span<const T> ghost,
                     ExecutorWorkspace<T>& ws) {
   scatter_reduce<T>(p, schedule, local, ghost, ReduceOp::Replace, ws);
-}
-
-template <typename T>
-void scatter_assign(rt::Process& p, const CommSchedule& schedule,
-                    std::span<T> local, std::span<const T> ghost) {
-  ExecutorWorkspace<T> ws;
-  scatter_assign<T>(p, schedule, local, ghost, ws);
 }
 
 }  // namespace chaos::core

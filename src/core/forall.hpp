@@ -69,7 +69,7 @@ class EdgeReductionLoop {
   /// Collective inspector (phases B+D of Figure 2): partitions the loop
   /// iterations against @p data_dist, remaps the indirection slices, and
   /// localizes them. @p opts is the unified plan-construction surface
-  /// (cache, locate protocol, repair policy) — SPMD-identical on all ranks.
+  /// (cache, repair policy) — SPMD-identical on all ranks.
   [[nodiscard]] static std::shared_ptr<EdgeLoopPlan> inspect(
       rt::Process& p, const dist::Distribution& edge_dist,
       std::span<const i64> ept1, std::span<const i64> ept2,

@@ -131,12 +131,7 @@ void localize_into(rt::Process& p, const dist::Distribution& d,
     // One probe per distinct global.
     p.clock().charge_ops(distinct, p.params().mem_us_per_word);
     if (rt::allreduce_sum(p, nmiss) > 0) {
-      if (ws.opts_.flat_locate) {
-        d.locate_flat_into(p, ws.miss_globals_, ws.miss_entries_,
-                           ws.deref_ws_);
-      } else {
-        d.locate_into(p, ws.miss_globals_, ws.miss_entries_);
-      }
+      d.locate_into(p, ws.miss_globals_, ws.miss_entries_, ws.deref_ws_);
       for (std::size_t j = 0; j < ws.miss_ids_.size(); ++j) {
         const auto k = static_cast<std::size_t>(ws.miss_ids_[j]);
         ws.entries_[k] = ws.miss_entries_[j];
@@ -151,15 +146,9 @@ void localize_into(rt::Process& p, const dist::Distribution& d,
     // reference, duplicates included. The collapsed duplicates ride the
     // locate's own (single, fused) clock charge, so modeled times stay
     // bit-identical — same integer operand, same one rounding step — while
-    // the host does ~1/multiplicity of the work. The flat variant keeps the
-    // same compensation but pays its own (3-round) collective bill.
-    if (ws.opts_.flat_locate) {
-      d.locate_flat_into(p, ws.distinct_, ws.entries_, ws.deref_ws_,
-                         static_cast<i64>(total) - distinct);
-    } else {
-      d.locate_into(p, ws.distinct_, ws.entries_,
-                    static_cast<i64>(total) - distinct);
-    }
+    // the host does ~1/multiplicity of the work.
+    d.locate_into(p, ws.distinct_, ws.entries_, ws.deref_ws_,
+                  static_cast<i64>(total) - distinct);
   }
 
   // Phase 3: canonical ghost-slot assignment (shared with the repair path).
@@ -295,12 +284,7 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
     p.stats().tcache_hits += novel - nmiss;
     p.stats().tcache_misses += nmiss;
     if (rt::allreduce_sum(p, nmiss) > 0) {
-      if (ws.opts_.flat_locate) {
-        d.locate_flat_into(p, ws.miss_globals_, ws.miss_entries_,
-                           ws.deref_ws_);
-      } else {
-        d.locate_into(p, ws.miss_globals_, ws.miss_entries_);
-      }
+      d.locate_into(p, ws.miss_globals_, ws.miss_entries_, ws.deref_ws_);
       for (std::size_t j = 0; j < ws.miss_ids_.size(); ++j) {
         const auto k = static_cast<std::size_t>(ws.miss_ids_[j]);
         ws.entries_[k] = ws.miss_entries_[j];
@@ -312,12 +296,7 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
     for (const i64 k : ws.novel_ids_) {
       ws.novel_globals_.push_back(ws.distinct_[static_cast<std::size_t>(k)]);
     }
-    if (ws.opts_.flat_locate) {
-      d.locate_flat_into(p, ws.novel_globals_, ws.novel_entries_,
-                         ws.deref_ws_);
-    } else {
-      d.locate_into(p, ws.novel_globals_, ws.novel_entries_);
-    }
+    d.locate_into(p, ws.novel_globals_, ws.novel_entries_, ws.deref_ws_);
     for (std::size_t j = 0; j < ws.novel_ids_.size(); ++j) {
       ws.entries_[static_cast<std::size_t>(ws.novel_ids_[j])] =
           ws.novel_entries_[j];
@@ -435,22 +414,6 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
 }
 
 }  // namespace detail
-
-Localized localize(rt::Process& p, const dist::Distribution& d,
-                   std::span<const i64> global_refs) {
-  InspectorWorkspace ws;
-  Localized out;
-  localize(p, d, global_refs, ws, out);
-  return out;
-}
-
-LocalizedMany localize_many(rt::Process& p, const dist::Distribution& d,
-                            std::span<const std::span<const i64>> batches) {
-  InspectorWorkspace ws;
-  LocalizedMany out;
-  localize_many(p, d, batches, ws, out);
-  return out;
-}
 
 void localize(rt::Process& p, const dist::Distribution& d,
               std::span<const i64> global_refs, InspectorWorkspace& ws,

@@ -12,10 +12,10 @@
 //
 // All scratch lives in a reusable InspectorWorkspace (the inspector-side
 // sibling of ExecutorWorkspace): buffers grow monotonically, the dedup table
-// resets by epoch tag, and the workspace overloads below write into
-// caller-owned results — so a re-run inspector performs zero heap
-// allocations after warmup (for IRREGULAR distributions this additionally
-// needs a warm TranslationCache to keep the locate round miss-free).
+// resets by epoch tag, the locate round stages in the workspace's
+// dereference scratch, and the entry points below write into caller-owned
+// results — so a re-run inspector performs zero heap allocations after
+// warmup, IRREGULAR locates included.
 #pragma once
 
 #include <span>
@@ -99,15 +99,15 @@ void assign_ghost_slots(InspectorWorkspace& ws, std::size_t np, i32 my_rank,
 }  // namespace detail
 
 /// Reusable inspector scratch: the dedup table, the distinct-reference
-/// arena, per-owner request staging, and the PlanOptions governing cache /
-/// locate-protocol / repair behavior. One workspace serves any number of
-/// sequential localize calls; plans own one per loop.
+/// arena, per-owner request staging, the locate's dereference scratch, and
+/// the PlanOptions governing cache / repair behavior. One workspace serves
+/// any number of sequential localize calls; plans own one per loop.
 class InspectorWorkspace {
  public:
   /// Installs the plan options this workspace localizes under. SPMD
   /// discipline: every rank of the machine configures identically — the
-  /// cached path adds one collective vote per localize, the flat protocol
-  /// changes the collective count, and the repair vote is machine-wide.
+  /// cached path adds one collective vote per localize and the repair vote
+  /// is machine-wide.
   /// The translation cache only engages for IRREGULAR distributions
   /// (regular locates are closed-form arithmetic and need no caching); it
   /// must be unbound or bound to the localized distribution's DAD, otherwise
@@ -119,19 +119,16 @@ class InspectorWorkspace {
   void configure(const PlanOptions& opts) { opts_ = opts; }
   [[nodiscard]] const PlanOptions& options() const { return opts_; }
 
-  /// DEPRECATED forwarder (pre-PlanOptions API): prefer
-  /// configure(PlanOptions{.translation_cache = cache}).
-  void attach_cache(dist::TranslationCache* cache) {
-    opts_.translation_cache = cache;
-  }
   [[nodiscard]] dist::TranslationCache* cache() const {
     return opts_.translation_cache;
   }
 
-  /// DEPRECATED forwarder (pre-PlanOptions API): prefer
-  /// configure(PlanOptions{.flat_locate = true}).
-  void set_flat_locate(bool on) { opts_.flat_locate = on; }
-  [[nodiscard]] bool flat_locate() const { return opts_.flat_locate; }
+  /// Scratch for the distribution locate: localize and repair stage their
+  /// locate round here, and partition_iterations borrows it for its owner
+  /// locate.
+  [[nodiscard]] dist::DereferenceWorkspace& deref_scratch() {
+    return deref_ws_;
+  }
 
   /// Reference counts of the most recent localize through this workspace
   /// (the bench layer checks locate volume against these).
@@ -310,7 +307,7 @@ class InspectorWorkspace {
   std::vector<i64> tomb_scratch_;    ///< splice_send sorted-tombstone staging
 
   PlanOptions opts_;
-  dist::DereferenceWorkspace deref_ws_;  ///< flat cold-path locate scratch
+  dist::DereferenceWorkspace deref_ws_;  ///< locate-round scratch
   i64 last_total_ = 0;
   i64 last_distinct_ = 0;
   u64 last_dad_key_ = 0;  ///< distribution identity of the last localize
@@ -319,16 +316,8 @@ class InspectorWorkspace {
 
 /// Collective. Localizes @p global_refs (indices into an array distributed
 /// by @p d). All processes must call together; lists may differ in length.
-[[nodiscard]] Localized localize(rt::Process& p, const dist::Distribution& d,
-                                 std::span<const i64> global_refs);
-
-[[nodiscard]] LocalizedMany localize_many(
-    rt::Process& p, const dist::Distribution& d,
-    std::span<const std::span<const i64>> batches);
-
-/// Workspace overloads: same semantics, but every buffer of @p out is
-/// reused in place — a warm re-localize of same-shaped batches performs
-/// zero heap allocations (see file comment for the IRREGULAR caveat).
+/// Every buffer of @p out and @p ws is reused in place — a warm re-localize
+/// of same-shaped batches performs zero heap allocations.
 void localize(rt::Process& p, const dist::Distribution& d,
               std::span<const i64> global_refs, InspectorWorkspace& ws,
               Localized& out);
@@ -361,11 +350,10 @@ void localize_many(rt::Process& p, const dist::Distribution& d,
     std::span<const std::span<const i64>> batches, InspectorWorkspace& ws,
     const LocalizeSnapshot& snap, LocalizedMany& out);
 
-/// THE schedule-forming exchange (now hosted in rt/collectives.hpp so the
-/// dist layer's flat dereference can drive it too): localize routes its
-/// ghost requests through it, geocol its half-edges, and
-/// TranslationTable::dereference_flat its request round — one CSR exchange
-/// implementation in the tree.
+/// THE schedule-forming exchange (hosted in rt/collectives.hpp so the dist
+/// layer's dereference can drive it too): localize routes its ghost requests
+/// through it, geocol its half-edges, and TranslationTable::dereference its
+/// request round — one CSR exchange implementation in the tree.
 using rt::exchange_csr;
 
 }  // namespace chaos::core

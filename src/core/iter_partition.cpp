@@ -26,14 +26,15 @@ IterationPartition partition_iterations(
   // localize makes), so the translation table sees each distinct global
   // once. The collapsed duplicates ride the locate's clock charge as model
   // compensation — the same fused charge a locate over all niter*nbatches
-  // references would have paid — and the nested dereference already
-  // dedups per home on the wire, so modeled virtual times are unchanged;
-  // only the host-side sort/scan work shrinks by the duplicate multiplicity.
+  // references would have paid — and the dereference already dedups per
+  // home on the wire, so modeled virtual times are unchanged; only the
+  // host-side sort/scan work shrinks by the duplicate multiplicity.
   InspectorWorkspace ws;
   const i64 total = niter * nbatches;
   const i64 distinct = detail::dedup_batches(ws, ref_batches);
   std::vector<dist::Entry> entries;
-  data_dist.locate_into(p, ws.distinct_globals(), entries, total - distinct);
+  data_dist.locate_into(p, ws.distinct_globals(), entries, ws.deref_scratch(),
+                        total - distinct);
   const std::span<const i64> ordinals = ws.pos_ordinals();
 
   // Vote per iteration. Reference k of iteration i for batch b sits at

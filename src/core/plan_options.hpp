@@ -1,13 +1,7 @@
-// Unified plan-construction options (the PR-10 API consolidation). Five PRs
-// of opt-in knobs — flat locate, persistent translation caches, and now the
-// incremental schedule-repair path — accreted as scattered setters on
-// workspaces, plans, and pipeline configs. PlanOptions is the single struct
-// every plan-construction surface consumes: core::EdgeLoopPlan /
-// SingleStatementPlan inspectors, the lang Instance, and
-// bench::PipelineConfig all take one of these; the legacy setters
-// (InspectorWorkspace::set_flat_locate / attach_cache,
-// Instance::set_flat_locate, PipelineConfig::translation_cache) survive as
-// thin deprecated forwarders into it.
+// Unified plan-construction options: the one struct every plan-construction
+// surface consumes (core::EdgeLoopPlan / SingleStatementPlan inspectors,
+// InspectorWorkspace::configure, and the lang Instance). It carries the
+// persistent translation cache and the incremental schedule-repair policy.
 #pragma once
 
 #include "rt/types.hpp"
@@ -43,12 +37,8 @@ enum class RepairMode : u8 {
 
 /// The one configuration struct for plan construction. Value semantics; the
 /// translation cache is a non-owning attach (SPMD discipline: every rank of
-/// the machine passes a cache or none, see InspectorWorkspace::attach_cache).
+/// the machine passes a cache or none, see InspectorWorkspace::configure).
 struct PlanOptions {
-  /// Flat (paged) translation-lookup protocol for IRREGULAR locate rounds
-  /// (Distribution::locate_flat_into). Off by default so library modeled
-  /// times stay bit-identical; the bench pipelines flip it on.
-  bool flat_locate = false;
   /// Persistent dist::TranslationCache attached to the plan's inspector
   /// workspace(s); nullptr = no cache.
   dist::TranslationCache* translation_cache = nullptr;

@@ -1,14 +1,14 @@
-// Reusable scratch for TranslationTable::dereference_flat — the dist-layer
+// Reusable scratch for TranslationTable::dereference — the dist-layer
 // sibling of core::InspectorWorkspace and ExecutorWorkspace. Every buffer the
 // flat dereference protocol touches lives here and grows monotonically, so a
 // warm repeat call (same or smaller query shape) performs ZERO heap
 // allocations: request staging, both CSR prefixes, the incoming query block,
 // and both Entry payload buffers are all resize-in-place.
 //
-// One workspace serves any number of sequential dereference_flat calls
+// One workspace serves any number of sequential dereference calls
 // against any table (it carries no table state, only capacity). It is NOT
 // shareable across concurrent calls — one workspace per logical process,
-// like the other workspaces in the tree. Wire protocol: DESIGN.md §9.
+// like the other workspaces in the tree. Wire protocol: DESIGN.md §4.
 #pragma once
 
 #include <vector>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "dist/dereference_workspace.hpp"
 #include "rt/collectives.hpp"
 
 namespace chaos::dist {
@@ -158,18 +159,12 @@ i64 Distribution::local_index_of(i64 g) const {
       "locate()");
 }
 
-std::vector<Entry> Distribution::locate(rt::Process& p,
-                                        std::span<const i64> queries) const {
-  std::vector<Entry> out;
-  locate_into(p, queries, out);
-  return out;
-}
-
 void Distribution::locate_into(rt::Process& p, std::span<const i64> queries,
                                std::vector<Entry>& out,
+                               DereferenceWorkspace& ws,
                                i64 extra_charged_queries) const {
   if (dad_.kind == DistKind::Irregular) {
-    out = table_->dereference(p, queries, extra_charged_queries);
+    table_->dereference(p, queries, out, ws, extra_charged_queries);
     return;
   }
   out.resize(queries.size());
@@ -182,16 +177,12 @@ void Distribution::locate_into(rt::Process& p, std::span<const i64> queries,
                        p.params().mem_us_per_word);
 }
 
-void Distribution::locate_flat_into(rt::Process& p,
-                                    std::span<const i64> queries,
-                                    std::vector<Entry>& out,
-                                    DereferenceWorkspace& ws,
-                                    i64 extra_charged_queries) const {
-  if (dad_.kind == DistKind::Irregular) {
-    table_->dereference_flat(p, queries, out, ws, extra_charged_queries);
-    return;
-  }
-  locate_into(p, queries, out, extra_charged_queries);
+std::vector<Entry> Distribution::locate(rt::Process& p,
+                                        std::span<const i64> queries) const {
+  DereferenceWorkspace ws;
+  std::vector<Entry> out;
+  locate_into(p, queries, out, ws);
+  return out;
 }
 
 }  // namespace chaos::dist

@@ -65,34 +65,22 @@ class Distribution {
   [[nodiscard]] i64 local_index_of(i64 g) const;
 
   /// Collective. Resolves a batch of global indices to (owner, local)
-  /// entries. Regular kinds answer locally with pure arithmetic; IRREGULAR
-  /// forwards to the translation table (one exchange round when paged, none
-  /// when replicated).
-  [[nodiscard]] std::vector<Entry> locate(rt::Process& p,
-                                          std::span<const i64> queries) const;
-
-  /// Collective, allocation-aware variant: resolves into @p out (resized in
-  /// place, so a caller reusing one buffer across calls pays zero heap
-  /// allocations for regular kinds; IRREGULAR still allocates inside the
-  /// table dereference). Same answers and identical modeled charges as
-  /// locate(). @p extra_charged_queries is model compensation folded into
-  /// the SAME clock charge as the real queries (one fused charge keeps the
-  /// virtual clock bit-identical to a single locate over queries + extras):
-  /// the dedup-first inspector passes the collapsed duplicates here.
+  /// entries into @p out (resized in place). Regular kinds answer locally
+  /// with pure arithmetic; IRREGULAR runs TranslationTable::dereference
+  /// staged in @p ws (3 collectives when paged, none when replicated; 0 heap
+  /// allocations on a warm repeat call). @p extra_charged_queries is model
+  /// compensation folded into the SAME clock charge as the real queries (one
+  /// fused charge keeps the virtual clock bit-identical to a single locate
+  /// over queries + extras): the dedup-first inspector passes the collapsed
+  /// duplicates here.
   void locate_into(rt::Process& p, std::span<const i64> queries,
-                   std::vector<Entry>& out,
+                   std::vector<Entry>& out, DereferenceWorkspace& ws,
                    i64 extra_charged_queries = 0) const;
 
-  /// Collective, zero-allocation variant: IRREGULAR distributions resolve
-  /// through TranslationTable::dereference_flat staged in @p ws (0 heap
-  /// allocations on a warm repeat call), regular kinds answer with the same
-  /// closed-form arithmetic — and identical charge — as locate_into. Answers
-  /// always match locate_into; the IRREGULAR modeled charge does NOT (3
-  /// collectives vs 2, see dereference_flat), which is why this is a
-  /// separate opt-in entry point.
-  void locate_flat_into(rt::Process& p, std::span<const i64> queries,
-                        std::vector<Entry>& out, DereferenceWorkspace& ws,
-                        i64 extra_charged_queries = 0) const;
+  /// Value-returning locate_into through a call-local workspace, for cold
+  /// one-shot callers (remap, geocol, partition metrics).
+  [[nodiscard]] std::vector<Entry> locate(rt::Process& p,
+                                          std::span<const i64> queries) const;
 
   /// The backing translation table (IRREGULAR only; nullptr otherwise).
   [[nodiscard]] const TranslationTable* table() const { return table_.get(); }

@@ -117,90 +117,13 @@ std::shared_ptr<const TranslationTable> TranslationTable::build(
   return tt;
 }
 
-std::vector<Entry> TranslationTable::dereference(
-    rt::Process& p, std::span<const i64> queries,
-    i64 extra_charged_queries) const {
-  ++stats_.dereference_calls;
+void TranslationTable::dereference(rt::Process& p,
+                                   std::span<const i64> queries,
+                                   std::vector<Entry>& out,
+                                   DereferenceWorkspace& ws,
+                                   i64 extra_charged_queries) const {
+  ++stats_.calls;
   stats_.queries += static_cast<i64>(queries.size());
-  std::vector<Entry> out(queries.size());
-
-  for (i64 q : queries) {
-    CHAOS_CHECK(q >= 0 && q < n_,
-                "translation table: dereferenced index " + std::to_string(q) +
-                    " outside [0, " + std::to_string(n_) + ")");
-  }
-
-  if (replicated_) {
-    // Local-only answer path: zero exchange rounds by construction.
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const auto g = static_cast<std::size_t>(queries[i]);
-      out[i] = Entry{proc_[g], local_[g]};
-    }
-    p.clock().charge_ops(static_cast<i64>(queries.size()) +
-                             extra_charged_queries,
-                         p.params().mem_us_per_word);
-    return out;
-  }
-
-  // Paged: answer self-homed pages directly; batch everything else into one
-  // request/response round with sorted, deduplicated per-home vectors.
-  std::vector<std::vector<i64>> requests(static_cast<std::size_t>(nprocs_));
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const i64 q = queries[i];
-    const int home = home_of(q);
-    if (home == my_rank_) {
-      const std::size_t slot = my_slot(q);
-      out[i] = Entry{proc_[slot], local_[slot]};
-    } else {
-      requests[static_cast<std::size_t>(home)].push_back(q);
-      ++stats_.remote_queries;
-    }
-  }
-  i64 remote = 0;  // distinct remote targets after dedup (wire volume)
-  for (auto& r : requests) {
-    std::sort(r.begin(), r.end());
-    r.erase(std::unique(r.begin(), r.end()), r.end());
-    remote += static_cast<i64>(r.size());
-  }
-  stats_.wire_queries += remote;
-
-  // The exchange is collective even when this process asks nothing: peers
-  // may be asking us. One round = request alltoallv + response alltoallv.
-  ++stats_.alltoallv_rounds;
-  const auto asked = rt::alltoallv(p, requests);
-  std::vector<std::vector<Entry>> replies(static_cast<std::size_t>(nprocs_));
-  for (std::size_t s = 0; s < asked.size(); ++s) {
-    replies[s].reserve(asked[s].size());
-    for (i64 g : asked[s]) {
-      const std::size_t slot = my_slot(g);
-      replies[s].push_back(Entry{proc_[slot], local_[slot]});
-    }
-  }
-  const auto answers = rt::alltoallv(p, replies);
-
-  // Resolve remote queries by binary search in the sorted request vector —
-  // answers[home] is index-aligned with requests[home] by construction.
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const i64 q = queries[i];
-    const auto home = static_cast<std::size_t>(home_of(q));
-    if (static_cast<int>(home) == my_rank_) continue;
-    const auto& req = requests[home];
-    const auto it = std::lower_bound(req.begin(), req.end(), q);
-    out[i] = answers[home][static_cast<std::size_t>(it - req.begin())];
-  }
-  p.clock().charge_ops(static_cast<i64>(queries.size()) +
-                           extra_charged_queries + 2 * remote,
-                       p.params().mem_us_per_word);
-  return out;
-}
-
-void TranslationTable::dereference_flat(rt::Process& p,
-                                        std::span<const i64> queries,
-                                        std::vector<Entry>& out,
-                                        DereferenceWorkspace& ws,
-                                        i64 extra_charged_queries) const {
-  ++stats_.flat_calls;
-  stats_.flat_queries += static_cast<i64>(queries.size());
   ++p.stats().ttable_flat_calls;
   out.resize(queries.size());
 
@@ -211,8 +134,7 @@ void TranslationTable::dereference_flat(rt::Process& p,
   }
 
   if (replicated_) {
-    // Same zero-round local answer path as the nested variant, writing into
-    // the caller-owned buffer.
+    // Local-only answer path: zero exchange rounds by construction.
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const auto g = static_cast<std::size_t>(queries[i]);
       out[i] = Entry{proc_[g], local_[g]};
@@ -281,7 +203,7 @@ void TranslationTable::dereference_flat(rt::Process& p,
   for (std::size_t r = 0; r < np; ++r) {
     ws.send_offsets_[r + 1] = ws.send_offsets_[r] + my_counts[r];
   }
-  stats_.flat_wire_queries += wire;
+  stats_.wire_queries += wire;
   p.stats().ttable_flat_wire_queries += wire;
 
   // Rounds 1+2: the shared CSR exchange (counts alltoall fixes the
@@ -306,7 +228,7 @@ void TranslationTable::dereference_flat(rt::Process& p,
       p, ws.reply_, ws.recv_offsets_,
       std::span<Entry>(ws.answers_.data(), static_cast<std::size_t>(wire)),
       ws.send_offsets_);
-  stats_.flat_collectives += 3;
+  stats_.collectives += 3;
 
   // Resolve remote queries by binary search in their home's sorted request
   // segment — answers_ is index-aligned with req_ by construction.
@@ -319,12 +241,9 @@ void TranslationTable::dereference_flat(rt::Process& p,
     out[i] = ws.answers_[static_cast<std::size_t>(it - ws.req_.begin())];
   }
 
-  // Modeled charge of the flat protocol: one table touch per query (plus the
-  // compensated extras) and two wire words per distinct remote target — the
-  // same ops model as the nested path — while the collective costs above
-  // came from the 3 rounds actually performed. Flat and nested are therefore
-  // deliberately NOT charge-identical: flat pays one extra small collective
-  // and saves the nested path's per-message vector handling.
+  // Modeled charge: one table touch per query (plus the compensated extras)
+  // and two wire words per distinct remote target; the collective costs
+  // above came from the 3 rounds actually performed.
   p.clock().charge_ops(static_cast<i64>(queries.size()) +
                            extra_charged_queries + 2 * wire,
                        p.params().mem_us_per_word);

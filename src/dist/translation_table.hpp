@@ -4,13 +4,14 @@
 //
 //   paged      — the table is split into fixed-size pages of consecutive
 //                globals; page pid lives on process pid % P. O(N/P) memory
-//                per process. dereference() batches all lookups into ONE
-//                request/response exchange round (two rt::alltoallv calls)
-//                with per-destination sorted, deduplicated request vectors.
+//                per process. dereference() batches all lookups through the
+//                flat CSR protocol: a counts alltoall plus two flat
+//                alltoallv exchanges over per-home sorted, deduplicated
+//                request segments.
 //   replicated — every process stores the whole table. O(N) memory,
 //                zero-communication dereference.
 //
-// The layout and batching protocol are documented in DESIGN.md §3–4.
+// The layout and the locate protocol are documented in DESIGN.md §3–4.
 #pragma once
 
 #include <memory>
@@ -32,23 +33,16 @@ struct Entry {
 class TranslationTable {
  public:
   /// Per-process dereference accounting; the bench layer reads this to show
-  /// that replicated tables answer with zero exchange rounds while paged
-  /// tables spend exactly one round per dereference call.
+  /// that replicated tables answer with zero collectives while paged tables
+  /// spend exactly 3 per dereference call.
   struct Stats {
-    i64 dereference_calls = 0;
-    i64 alltoallv_rounds = 0;  ///< request+response exchanges performed
+    i64 calls = 0;
+    i64 collectives = 0;  ///< 3 per paged call, 0 replicated
     i64 queries = 0;
-    i64 remote_queries = 0;  ///< queries whose page lives on another process
     /// Distinct remote targets actually shipped on the wire (after the
-    /// per-home sort+unique): the request-side alltoallv word count. The
-    /// inspector bench reads this to show the translation-cache traffic cut.
+    /// per-home sort+unique): the request-side word count. The inspector
+    /// bench reads this to show the translation-cache traffic cut.
     i64 wire_queries = 0;
-    /// dereference_flat accounting, kept separate so existing consumers of
-    /// the nested counters never see flat traffic folded in.
-    i64 flat_calls = 0;
-    i64 flat_collectives = 0;  ///< 3 per paged flat call, 0 replicated
-    i64 flat_queries = 0;
-    i64 flat_wire_queries = 0;  ///< post-dedup request words, flat path
   };
 
   /// Collective. Every process contributes the globals it owns, in its local
@@ -59,28 +53,17 @@ class TranslationTable {
       rt::Process& p, i64 n, std::span<const i64> mine, i64 page_size = 4096,
       bool replicated = false);
 
-  /// Collective (paged mode performs one exchange round even when this
-  /// process has no remote queries — peers may). answers[i] resolves
-  /// queries[i]; duplicate and empty query lists are legal and lists may
-  /// differ in length across processes. @p extra_charged_queries is folded
-  /// into the final clock charge (see Distribution::locate_into).
-  [[nodiscard]] std::vector<Entry> dereference(
-      rt::Process& p, std::span<const i64> queries,
-      i64 extra_charged_queries = 0) const;
-
-  /// Collective, zero-allocation variant of dereference(): the flat CSR
-  /// protocol (DESIGN.md §9) answers the same queries through one counts
-  /// rt::alltoall plus two rt::alltoallv_flat exchanges, staging everything
-  /// in @p ws — a warm repeat call performs 0 heap allocations. Answers are
-  /// identical to dereference(); the modeled charge is NOT: the flat
-  /// protocol spends 3 collectives where the nested path spends 2, so this
-  /// is an opt-in entry point with its own charge, never a drop-in swap
-  /// (existing modeled virtual times stay bit-identical as long as callers
-  /// keep using dereference()). Out-of-range queries throw the same error
-  /// as the nested path.
-  void dereference_flat(rt::Process& p, std::span<const i64> queries,
-                        std::vector<Entry>& out, DereferenceWorkspace& ws,
-                        i64 extra_charged_queries = 0) const;
+  /// Collective (paged mode runs its 3 collectives even when this process
+  /// has no remote queries — peers may). out[i] resolves queries[i];
+  /// duplicate and empty query lists are legal and lists may differ in
+  /// length across processes. The flat CSR protocol (DESIGN.md §4) stages
+  /// everything in @p ws, so a warm repeat call performs 0 heap
+  /// allocations. @p extra_charged_queries is folded into the final clock
+  /// charge (see Distribution::locate_into). Out-of-range queries throw
+  /// before any collective.
+  void dereference(rt::Process& p, std::span<const i64> queries,
+                   std::vector<Entry>& out, DereferenceWorkspace& ws,
+                   i64 extra_charged_queries = 0) const;
 
   [[nodiscard]] i64 size() const { return n_; }
   [[nodiscard]] i64 page_size() const { return page_size_; }

@@ -82,16 +82,12 @@ class Instance {
   void set_tree_walk(bool enabled) { tree_walk_ = enabled; }
 
   /// Installs the unified plan-construction options every FORALL inspector
-  /// workspace is configured with (flat locate protocol, repair policy and
-  /// threshold; the translation-cache pointer is ignored here — the VM's
+  /// workspace is configured with (repair policy and threshold; the
+  /// translation-cache pointer is ignored here — the VM's
   /// per-plan caches are owned internally). SPMD discipline: identical on
-  /// every rank. Defaults keep existing modeled baselines bit-identical.
+  /// every rank.
   void set_options(const core::PlanOptions& opts) { plan_opts_ = opts; }
   [[nodiscard]] const core::PlanOptions& options() const { return plan_opts_; }
-
-  /// DEPRECATED forwarder (pre-PlanOptions API): prefer
-  /// set_options(PlanOptions{.flat_locate = enabled}).
-  void set_flat_locate(bool enabled) { plan_opts_.flat_locate = enabled; }
 
   // --- execution ------------------------------------------------------------
 

@@ -165,7 +165,11 @@ f64 Machine::barrier_reduce_max(int rank, f64 value, f64 now_us) {
     const u64 folded = cell.max_bits.exchange(0, std::memory_order_relaxed);
     cell.arrived.store(0, std::memory_order_relaxed);
     rel.value = std::bit_cast<f64>(folded);
-    rel.epoch.store(n, std::memory_order_release);
+    // seq_cst, not release: notify_all skips the futex wake when it reads no
+    // registered waiter, and only a seq_cst store keeps that read from being
+    // ordered before this store — else a waiter that registered and saw the
+    // old epoch would sleep through the release.
+    rel.epoch.store(n, std::memory_order_seq_cst);
     rel.epoch.notify_all();
     return rel.value;
   }
@@ -179,9 +183,11 @@ void Machine::poison() {
   // futex-sleep on the release words, so poison must change the waited-on
   // values themselves (a bare notify racing a waiter about to sleep would
   // be missed); the sentinel satisfies any epoch target and wait_epoch
-  // rechecks the flag on return. Mailbox waiters sit on condvars.
-  release_[0].epoch.store(kPoisonEpoch, std::memory_order_release);
-  release_[1].epoch.store(kPoisonEpoch, std::memory_order_release);
+  // rechecks the flag on return. The stores are seq_cst for the same
+  // lost-wakeup reason as the barrier release. Mailbox waiters sit on
+  // condvars.
+  release_[0].epoch.store(kPoisonEpoch, std::memory_order_seq_cst);
+  release_[1].epoch.store(kPoisonEpoch, std::memory_order_seq_cst);
   release_[0].epoch.notify_all();
   release_[1].epoch.notify_all();
   for (auto& mb : mailboxes_) mb->poison_wake();

@@ -27,9 +27,9 @@ struct MessageStats {
   /// translation-table locate round.
   i64 tcache_hits = 0;
   i64 tcache_misses = 0;
-  /// Flat-dereference traffic (dist::TranslationTable::dereference_flat):
-  /// calls made and post-dedup request words shipped. Separate from the
-  /// nested counters so benches can gate each protocol independently.
+  /// Dereference traffic (dist::TranslationTable::dereference): calls made
+  /// and post-dedup request words shipped. The names predate the single
+  /// locate protocol; external readers depend on them.
   i64 ttable_flat_calls = 0;
   i64 ttable_flat_wire_queries = 0;
   /// Robustness counters (DESIGN.md §10), machine-level: faults fired by an

@@ -46,7 +46,9 @@ TEST_P(ExecutorSweep, ScatterAddMatchesSerialReference) {
 
     // Every rank accumulates +g into y(g) for each of its references.
     const auto refs = make_refs(p.rank(), n, 4 * n, 23);
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
 
     std::vector<f64> ghost_acc(static_cast<std::size_t>(loc.schedule.nghost),
                                0.0);
@@ -59,8 +61,9 @@ TEST_P(ExecutorSweep, ScatterAddMatchesSerialReference) {
         ghost_acc[static_cast<std::size_t>(r - y.nlocal())] += v;
       }
     }
+    core::ExecutorWorkspace<f64> ews;
     core::scatter_reduce<f64>(p, loc.schedule, y.local(), ghost_acc,
-                              core::ReduceOp::Add);
+                              core::ReduceOp::Add, ews);
 
     // Serial reference: count global occurrences over all ranks.
     auto all_refs = rt::allgatherv<i64>(p, refs);
@@ -84,7 +87,9 @@ TEST_P(ExecutorSweep, ScatterMaxMatchesSerialReference) {
                                   core::reduce_identity<f64>(core::ReduceOp::Max));
 
     const auto refs = make_refs(p.rank(), n, 2 * n, 77);
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
     std::vector<f64> ghost_acc(
         static_cast<std::size_t>(loc.schedule.nghost),
         core::reduce_identity<f64>(core::ReduceOp::Max));
@@ -100,8 +105,9 @@ TEST_P(ExecutorSweep, ScatterMaxMatchesSerialReference) {
         dst = std::max(dst, v);
       }
     }
+    core::ExecutorWorkspace<f64> ews;
     core::scatter_reduce<f64>(p, loc.schedule, y.local(), ghost_acc,
-                              core::ReduceOp::Max);
+                              core::ReduceOp::Max, ews);
 
     struct Contribution {
       i64 g;
@@ -134,7 +140,9 @@ TEST_P(ExecutorSweep, ScatterMinMatchesSerialReference) {
                                   core::reduce_identity<f64>(core::ReduceOp::Min));
 
     const auto refs = make_refs(p.rank(), n, 2 * n, 131);
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
     std::vector<f64> ghost_acc(
         static_cast<std::size_t>(loc.schedule.nghost),
         core::reduce_identity<f64>(core::ReduceOp::Min));
@@ -150,8 +158,9 @@ TEST_P(ExecutorSweep, ScatterMinMatchesSerialReference) {
         dst = std::min(dst, v);
       }
     }
+    core::ExecutorWorkspace<f64> ews;
     core::scatter_reduce<f64>(p, loc.schedule, y.local(), ghost_acc,
-                              core::ReduceOp::Min);
+                              core::ReduceOp::Min, ews);
 
     struct Contribution {
       i64 g;
@@ -186,7 +195,9 @@ TEST(Executor, ScatterReplaceMatchesScatterAssign) {
     // Disjoint writers (Replace with overlapping writers is unordered).
     std::vector<i64> refs;
     for (i64 g = p.rank(); g < n; g += p.nprocs()) refs.push_back(g);
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
     std::vector<f64> ghost(static_cast<std::size_t>(loc.schedule.nghost), 0.0);
     for (std::size_t i = 0; i < refs.size(); ++i) {
       const f64 v = static_cast<f64>(3 * refs[i] + 1);
@@ -197,8 +208,9 @@ TEST(Executor, ScatterReplaceMatchesScatterAssign) {
         ghost[static_cast<std::size_t>(r - y.nlocal())] = v;
       }
     }
+    core::ExecutorWorkspace<f64> ews;
     core::scatter_reduce<f64>(p, loc.schedule, y.local(), ghost,
-                              core::ReduceOp::Replace);
+                              core::ReduceOp::Replace, ews);
 
     const auto got = y.to_global(p);
     for (i64 g = 0; g < n; ++g) {
@@ -214,7 +226,9 @@ TEST(Executor, EmptyScheduleMovesNothing) {
   rt::Machine::run(4, [](rt::Process& p) {
     auto d = dist::Distribution::block(p, 64);
     const auto mine = d->my_globals();
-    auto loc = core::localize(p, *d, mine);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, mine, iws, loc);
     ASSERT_EQ(loc.schedule.nghost, 0);
     EXPECT_TRUE(loc.schedule.validate());
     EXPECT_EQ(loc.schedule.total_send(), 0);
@@ -239,20 +253,23 @@ TEST(Executor, SingleProcessMachineRoundTrips) {
     auto d = dist::Distribution::block(p, n);
     dist::DistributedArray<f64> y(p, d, 1.0);
     std::vector<i64> refs{0, 5, 16, 5};
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
     EXPECT_EQ(loc.schedule.nghost, 0);
     EXPECT_EQ(loc.schedule.nprocs(), 1);
     EXPECT_TRUE(loc.schedule.validate());
 
     dist::DistributedArray<f64> x(p, d);
     x.fill_by_global([](i64 g) { return static_cast<f64>(g); });
-    core::gather_ghosts<f64>(p, loc.schedule, x);
+    core::ExecutorWorkspace<f64> ews;
+    core::gather_ghosts<f64>(p, loc.schedule, x, ews);
     for (std::size_t i = 0; i < refs.size(); ++i) {
       EXPECT_DOUBLE_EQ(x.localized(loc.refs[i]), static_cast<f64>(refs[i]));
     }
     std::vector<f64> ghost;
     core::scatter_reduce<f64>(p, loc.schedule, y.local(), ghost,
-                              core::ReduceOp::Add);
+                              core::ReduceOp::Add, ews);
     for (f64 v : y.local()) EXPECT_DOUBLE_EQ(v, 1.0);
   });
 }
@@ -268,7 +285,9 @@ TEST(Executor, WorkspaceReuseKeepsBuffersStable) {
     dist::DistributedArray<f64> x(p, d);
     x.fill_by_global([](i64 g) { return 10.0 + static_cast<f64>(g); });
     const auto refs = make_refs(p.rank(), n, 3 * n, 41);
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
     x.resize_ghost(loc.schedule.nghost);
 
     core::ExecutorWorkspace<f64> ws;
@@ -290,7 +309,9 @@ TEST(Executor, RecvOffsetsAreCachedPrefixSums) {
     constexpr i64 n = 128;
     auto d = dist::Distribution::block(p, n);
     const auto refs = make_refs(p.rank(), n, 2 * n, 9);
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
     i64 running = 0;
     for (int s = 0; s < p.nprocs(); ++s) {
       EXPECT_EQ(loc.schedule.recv_offset(s), running);
@@ -311,7 +332,9 @@ TEST(Executor, ScatterAssignWritesRemoteElements) {
     // many of them remote under BLOCK.
     std::vector<i64> refs;
     for (i64 g = p.rank(); g < n; g += p.nprocs()) refs.push_back(g);
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
     std::vector<f64> ghost(static_cast<std::size_t>(loc.schedule.nghost), 0.0);
     for (std::size_t i = 0; i < refs.size(); ++i) {
       const f64 v = static_cast<f64>(10 * refs[i] + p.rank());
@@ -322,7 +345,8 @@ TEST(Executor, ScatterAssignWritesRemoteElements) {
         ghost[static_cast<std::size_t>(r - y.nlocal())] = v;
       }
     }
-    core::scatter_assign<f64>(p, loc.schedule, y.local(), ghost);
+    core::ExecutorWorkspace<f64> ews;
+    core::scatter_assign<f64>(p, loc.schedule, y.local(), ghost, ews);
 
     const auto got = y.to_global(p);
     for (i64 g = 0; g < n; ++g) {
@@ -337,12 +361,15 @@ TEST(Executor, GatherRejectsStaleSchedule) {
   rt::Machine::run(2, [](rt::Process& p) {
     auto d = dist::Distribution::block(p, 16);
     std::vector<i64> refs{0, 15};
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
     std::vector<f64> wrong_local(static_cast<std::size_t>(d->my_local_size()) +
                                  1);
     std::vector<f64> ghost(static_cast<std::size_t>(loc.schedule.nghost));
+    core::ExecutorWorkspace<f64> ews;
     EXPECT_THROW(
-        core::gather_ghosts<f64>(p, loc.schedule, wrong_local, ghost),
+        core::gather_ghosts<f64>(p, loc.schedule, wrong_local, ghost, ews),
         chaos::ChaosError);
     rt::barrier(p);
   });
@@ -355,12 +382,15 @@ TEST(Executor, ScatterRejectsStaleSchedule) {
   rt::Machine::run(2, [](rt::Process& p) {
     auto d = dist::Distribution::block(p, 16);
     std::vector<i64> refs{0, 15};
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
     std::vector<f64> wrong_local(static_cast<std::size_t>(d->my_local_size()) +
                                  2);
     std::vector<f64> ghost(static_cast<std::size_t>(loc.schedule.nghost));
+    core::ExecutorWorkspace<f64> ews;
     EXPECT_THROW(core::scatter_reduce<f64>(p, loc.schedule, wrong_local, ghost,
-                                           core::ReduceOp::Add),
+                                           core::ReduceOp::Add, ews),
                  chaos::ChaosError);
     rt::barrier(p);
   });

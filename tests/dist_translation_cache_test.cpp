@@ -125,7 +125,7 @@ TEST(TranslationCache, WarmLocalizeHitsForEveryDistinctReference) {
 
     dist::TranslationCache cache(1 << 10);
     core::InspectorWorkspace ws;
-    ws.attach_cache(&cache);
+    ws.configure(core::PlanOptions{.translation_cache = &cache});
     core::Localized cold, warm;
     core::localize(p, *d, refs, ws, cold);
     const i64 cold_misses = cache.stats().misses;
@@ -137,7 +137,7 @@ TEST(TranslationCache, WarmLocalizeHitsForEveryDistinctReference) {
     EXPECT_EQ(warm.schedule.send_indices, cold.schedule.send_indices);
 
     // Machine-wide warm: the warm localize skipped the locate round.
-    EXPECT_EQ(d->table()->stats().dereference_calls, 1);
+    EXPECT_EQ(d->table()->stats().calls, 1);
     // Outcome counters surfaced through the process message stats.
     EXPECT_EQ(p.stats().tcache_hits, n);
     EXPECT_EQ(p.stats().tcache_misses, n);
@@ -154,7 +154,7 @@ TEST(TranslationCache, RemapRebindFlushesAndAnswersFreshDistribution) {
 
     dist::TranslationCache cache(1 << 10);
     core::InspectorWorkspace ws;
-    ws.attach_cache(&cache);
+    ws.configure(core::PlanOptions{.translation_cache = &cache});
     core::Localized la;
     core::localize(p, *a, refs, ws, la);
 
@@ -166,9 +166,10 @@ TEST(TranslationCache, RemapRebindFlushesAndAnswersFreshDistribution) {
     EXPECT_EQ(cache.size(), 0);
 
     // Cached localize over the new distribution matches the uncached path.
-    core::Localized lb;
+    core::Localized lb, plain;
     core::localize(p, *b, refs, ws, lb);
-    const auto plain = core::localize(p, *b, refs);
+    core::InspectorWorkspace plain_ws;
+    core::localize(p, *b, refs, plain_ws, plain);
     EXPECT_EQ(lb.refs, plain.refs);
     EXPECT_EQ(lb.schedule.send_indices, plain.schedule.send_indices);
     EXPECT_EQ(lb.schedule.recv_offsets, plain.schedule.recv_offsets);
@@ -188,7 +189,8 @@ TEST(TranslationCacheDeathLike, StaleBindingAfterRemapThrows) {
                          std::vector<i64> refs{0, 5, 9, 13};
                          dist::TranslationCache cache(1 << 10);
                          core::InspectorWorkspace ws;
-                         ws.attach_cache(&cache);
+                         ws.configure(
+                             core::PlanOptions{.translation_cache = &cache});
                          core::Localized la, lb;
                          core::localize(p, *a, refs, ws, la);
                          // Missing rebind: cache is still bound to a.

@@ -33,7 +33,6 @@ struct Scenario {
   std::map<std::string, std::vector<i64>> ints;
   std::vector<std::string> fetch;  // REAL*8 arrays to compare
   bool reuse = true;
-  bool flat_locate = false;
   int procs = 4;
 };
 
@@ -55,7 +54,6 @@ RunResult run_mode(const lang::Program& prog, const Scenario& sc,
     lang::Instance inst(prog);
     inst.set_tree_walk(tree_walk);
     inst.set_schedule_reuse(sc.reuse);
-    inst.set_flat_locate(sc.flat_locate);
     for (const auto& [name, v] : sc.params) inst.set_param(name, v);
     for (const auto& [name, v] : sc.reals) inst.bind_real(name, v);
     for (const auto& [name, v] : sc.ints) inst.bind_int(name, v);
@@ -262,34 +260,6 @@ C$    ALIGN ia WITH reg
   sc.reals["X"] = x0;
   sc.ints["IA"] = ia;
   sc.fetch = {"Y", "Z", "W"};
-  expect_modes_identical(sc);
-}
-
-TEST(LangVm, MatchesTreeWalkWithFlatLocate) {
-  const auto d = tiny_edges();
-  Scenario sc;
-  sc.source = R"(
-      REAL*8 x(nnode), y(nnode)
-      INTEGER end_pt1(nedge), end_pt2(nedge)
-C$    DECOMPOSITION reg(nnode), reg2(nedge)
-C$    DISTRIBUTE reg(BLOCK), reg2(BLOCK)
-C$    ALIGN x, y WITH reg
-C$    ALIGN end_pt1, end_pt2 WITH reg2
-C$    CONSTRUCT G (nnode, LINK(nedge, end_pt1, end_pt2))
-C$    SET distfmt BY PARTITIONING G USING RSB
-C$    REDISTRIBUTE reg(distfmt)
-      FORALL i = 1, nedge
-        REDUCE(ADD, y(end_pt1(i)), x(end_pt2(i)))
-      END FORALL
-)";
-  sc.params["NNODE"] = d.nnodes;
-  sc.params["NEDGE"] = d.nedges;
-  sc.reals["X"] =
-      std::vector<f64>(static_cast<std::size_t>(d.nnodes), 1.0);
-  sc.ints["END_PT1"] = d.e1;
-  sc.ints["END_PT2"] = d.e2;
-  sc.fetch = {"Y"};
-  sc.flat_locate = true;
   expect_modes_identical(sc);
 }
 

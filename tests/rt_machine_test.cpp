@@ -2,6 +2,7 @@
 // messaging, determinism of virtual clocks, and failure propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <thread>
@@ -254,6 +255,21 @@ TEST(Machine, BarrierOrdersPlainWritesAcrossRanks) {
       p.barrier_sync_only();
     }
   });
+}
+
+TEST(Machine, OversubscribedBarrierNeverLosesAWakeup) {
+  // Twice as many ranks as cores sets the spin and yield limits to 0, so
+  // every waiter futex-sleeps on the release word. A release store ordered
+  // after notify_all's waiter check would leave a rank asleep forever; the
+  // ctest TIMEOUT turns that hang into a failure.
+  const int P =
+      2 * std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  constexpr int kBarriers = 100000;
+  rt::Machine machine(P);
+  machine.run([&](rt::Process& p) {
+    for (int k = 0; k < kBarriers; ++k) p.barrier_sync_only();
+  });
+  EXPECT_EQ(machine.total_stats().barriers, static_cast<i64>(P) * kBarriers);
 }
 
 TEST(Machine, MachineReusableAfterRun) {
