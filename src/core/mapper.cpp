@@ -7,7 +7,7 @@ namespace chaos::core {
 std::shared_ptr<const dist::Distribution> set_by_partitioning(
     rt::Process& p, const GeoCol& g, const std::string& partitioner,
     i64 page_size) {
-  const auto& fn = part::PartitionerRegistry::instance().get(partitioner);
+  const auto fn = part::PartitionerRegistry::instance().get(partitioner);
   const std::vector<i64> parts = fn(p, g.view(), p.nprocs());
   CHAOS_CHECK(static_cast<i64>(parts.size()) == g.vdist()->my_local_size(),
               "partitioner returned misaligned part vector");

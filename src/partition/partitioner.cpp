@@ -38,6 +38,7 @@ PartitionerRegistry::PartitionerRegistry() {
 
 void PartitionerRegistry::add(const std::string& name, PartitionFn fn) {
   CHAOS_CHECK(!name.empty(), "partitioner name must not be empty");
+  const std::lock_guard lock(mu_);
   for (auto& [n, f] : entries_) {
     if (n == name) {
       f = std::move(fn);
@@ -48,23 +49,25 @@ void PartitionerRegistry::add(const std::string& name, PartitionFn fn) {
 }
 
 bool PartitionerRegistry::contains(const std::string& name) const {
+  const std::lock_guard lock(mu_);
   for (const auto& [n, f] : entries_) {
     if (n == name) return true;
   }
   return false;
 }
 
-const PartitionFn& PartitionerRegistry::get(const std::string& name) const {
+PartitionFn PartitionerRegistry::get(const std::string& name) const {
+  const std::lock_guard lock(mu_);
   for (const auto& [n, f] : entries_) {
     if (n == name) return f;
   }
   CHAOS_CHECK(false, "unknown partitioner: " + name +
                          " (register it via PartitionerRegistry::add)");
-  static PartitionFn dummy;
-  return dummy;
+  return {};
 }
 
 std::vector<std::string> PartitionerRegistry::names() const {
+  const std::lock_guard lock(mu_);
   std::vector<std::string> out;
   out.reserve(entries_.size());
   for (const auto& [n, f] : entries_) out.push_back(n);

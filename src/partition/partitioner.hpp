@@ -5,6 +5,7 @@
 #pragma once
 
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -24,15 +25,19 @@ class PartitionerRegistry {
   static PartitionerRegistry& instance();
 
   /// Registers (or replaces) a partitioner under @p name (case-sensitive,
-  /// conventionally upper-case: "RCB", "RSB", ...).
+  /// conventionally upper-case: "RCB", "RSB", ...). Safe to call from every
+  /// process of a running Machine at once.
   void add(const std::string& name, PartitionFn fn);
 
   [[nodiscard]] bool contains(const std::string& name) const;
-  [[nodiscard]] const PartitionFn& get(const std::string& name) const;
+  /// Returns a copy, so a concurrent add() replacing @p name cannot pull the
+  /// function out from under a caller that is running it.
+  [[nodiscard]] PartitionFn get(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
   PartitionerRegistry();
+  mutable std::mutex mu_;
   std::vector<std::pair<std::string, PartitionFn>> entries_;
 };
 

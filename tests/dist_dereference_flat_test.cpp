@@ -1,22 +1,16 @@
-// dereference_flat: the zero-allocation flat CSR dereference protocol must
-// answer bit-identically to the nested dereference() on every layout, hold
-// its 3-collective (paged) / 0-collective (replicated) budget, survive the
-// edge shapes (empty rank, all-local, P=1, replicated), and fail out-of-range
-// queries with exactly the nested path's error. The localize flag sweep at
-// the bottom locks the inspector wiring: flat cold misses produce the same
-// refs/schedule as the nested cold path, with and without a translation
-// cache.
+// The flat CSR dereference as the inspector drives it: localize against an
+// IRREGULAR distribution stages its locate round in the workspace's
+// dereference scratch. The refs and CSR schedule it produces must follow the
+// ownership map, a cold localize must cost exactly one table dereference,
+// and a translation cache in front of the dereference must leave refs and
+// schedule bit-identical while its warm pass skips the round. The protocol
+// itself (answers on every layout, collective budget, edge shapes, error
+// text) is covered by dist_translation_table_test.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <numeric>
-#include <random>
-#include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/inspector.hpp"
-#include "dist/dereference_workspace.hpp"
 #include "dist/translation_cache.hpp"
 #include "dist/translation_table.hpp"
 #include "rt/collectives.hpp"
@@ -28,279 +22,99 @@ using chaos::i64;
 
 namespace {
 
-std::vector<i64> shuffled_ownership(i64 n, int nprocs, int rank,
-                                    unsigned seed) {
-  std::vector<i64> all(static_cast<std::size_t>(n));
-  std::iota(all.begin(), all.end(), 0);
-  std::mt19937 rng(seed);
-  std::shuffle(all.begin(), all.end(), rng);
-  std::vector<i64> mine;
-  for (std::size_t k = 0; k < all.size(); ++k) {
-    if (static_cast<int>(k % static_cast<std::size_t>(nprocs)) == rank) {
-      mine.push_back(all[k]);
-    }
+// An IRREGULAR distribution of [0, n) in which global g lives on rank
+// (g * mul + add) % P, built from a block-distributed map array.
+std::shared_ptr<const dist::Distribution> scattered(rt::Process& p, i64 n,
+                                                    i64 mul, i64 add) {
+  auto md = dist::Distribution::block(p, n);
+  std::vector<i64> slice(static_cast<std::size_t>(md->my_local_size()));
+  for (std::size_t l = 0; l < slice.size(); ++l) {
+    const i64 g = md->global_of(p.rank(), static_cast<i64>(l));
+    slice[l] = (g * mul + add) % p.nprocs();
   }
-  return mine;
+  return dist::Distribution::irregular_from_map(p, slice, *md, 8);
 }
 
-void expect_same(const std::vector<dist::Entry>& a,
-                 const std::vector<dist::Entry>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a[k].proc, b[k].proc);
-    EXPECT_EQ(a[k].local, b[k].local);
-  }
+void expect_same(const core::Localized& a, const core::Localized& b) {
+  EXPECT_EQ(a.refs, b.refs);
+  EXPECT_EQ(a.off_process_refs, b.off_process_refs);
+  EXPECT_EQ(a.schedule.send_indices, b.schedule.send_indices);
+  EXPECT_EQ(a.schedule.send_offsets, b.schedule.send_offsets);
+  EXPECT_EQ(a.schedule.recv_offsets, b.schedule.recv_offsets);
+  EXPECT_EQ(a.schedule.nghost, b.schedule.nghost);
 }
 
 }  // namespace
 
-class FlatDereferenceSweep
-    : public ::testing::TestWithParam<std::tuple<i64, int, i64, bool>> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    SizesProcsPages, FlatDereferenceSweep,
-    ::testing::Combine(::testing::Values<i64>(1, 17, 256, 1000),
-                       ::testing::Values(1, 2, 4, 8),
-                       ::testing::Values<i64>(1, 7, 64, 4096),
-                       ::testing::Bool()),
-    [](const auto& info) {
-      return "N" + std::to_string(std::get<0>(info.param)) + "_P" +
-             std::to_string(std::get<1>(info.param)) + "_pg" +
-             std::to_string(std::get<2>(info.param)) +
-             (std::get<3>(info.param) ? "_repl" : "_dist");
-    });
-
-TEST_P(FlatDereferenceSweep, MatchesNestedDereference) {
-  const auto [n, P, page, repl] = GetParam();
-  rt::Machine::run(P, [&, n = n, page = page, repl = repl](rt::Process& p) {
-    auto mine = shuffled_ownership(n, p.nprocs(), p.rank(), /*seed=*/42);
-    auto tt = dist::TranslationTable::build(p, n, mine, page, repl);
-
-    // Every global plus rank-skewed duplicates: the flat protocol dedups per
-    // home on the wire, so duplicate-heavy inputs are the interesting case.
-    std::vector<i64> q(static_cast<std::size_t>(n));
-    std::iota(q.begin(), q.end(), 0);
-    for (i64 g = p.rank(); g < n; g += 3) q.push_back(g);
-
-    const auto nested = tt->dereference(p, q);
-    std::vector<dist::Entry> flat;
-    dist::DereferenceWorkspace ws;
-    tt->dereference_flat(p, q, flat, ws);
-    expect_same(nested, flat);
-
-    // Warm repeat through the same workspace: same answers, and the stats
-    // hold the collective budget — exactly 3 per paged call, 0 replicated.
-    tt->dereference_flat(p, q, flat, ws);
-    expect_same(nested, flat);
-    EXPECT_EQ(tt->stats().flat_calls, 2);
-    EXPECT_EQ(tt->stats().flat_collectives, repl ? 0 : 2 * 3);
-  });
-}
-
-TEST(FlatDereference, EmptyRanksAndAsymmetricQueries) {
-  // Ranks 1 and 3 own nothing and ask nothing; the exchange must tolerate a
-  // rank that neither owns nor queries, paged and replicated alike.
-  rt::Machine::run(4, [](rt::Process& p) {
-    constexpr i64 n = 40;
-    std::vector<i64> mine;
-    if (p.rank() == 0) {
-      for (i64 g = 0; g < n; g += 2) mine.push_back(g);  // evens
-    } else if (p.rank() == 2) {
-      for (i64 g = 1; g < n; g += 2) mine.push_back(g);  // odds
-    }
-    for (const i64 page : {i64{1}, i64{4}, i64{64}}) {
-      for (const bool repl : {false, true}) {
-        auto tt = dist::TranslationTable::build(p, n, mine, page, repl);
-        std::vector<i64> q;
-        if (!mine.empty()) q = {0, n - 1, 0, 7};
-        std::vector<dist::Entry> flat;
-        dist::DereferenceWorkspace ws;
-        tt->dereference_flat(p, q, flat, ws);
-        ASSERT_EQ(flat.size(), q.size());
-        for (std::size_t k = 0; k < q.size(); ++k) {
-          EXPECT_EQ(flat[k].proc, q[k] % 2 == 0 ? 0 : 2);
-          EXPECT_EQ(flat[k].local, q[k] / 2);
-        }
-      }
-    }
-  });
-}
-
-TEST(FlatDereference, AllLocalQueriesShipNothing) {
-  // Each rank asks only about globals whose pages it hosts: the request CSR
-  // is all-empty, the three collectives still run (they are collective), but
-  // no request word travels.
-  rt::Machine::run(4, [](rt::Process& p) {
-    constexpr i64 n = 64;
-    constexpr i64 page = 4;
-    auto mine = shuffled_ownership(n, p.nprocs(), p.rank(), 5);
-    auto tt = dist::TranslationTable::build(p, n, mine, page, false);
-    std::vector<i64> q;
-    for (i64 g = 0; g < n; ++g) {
-      if ((g / page) % p.nprocs() == p.rank()) q.push_back(g);
-    }
-    const auto nested = tt->dereference(p, q);
-    std::vector<dist::Entry> flat;
-    dist::DereferenceWorkspace ws;
-    tt->dereference_flat(p, q, flat, ws);
-    expect_same(nested, flat);
-    EXPECT_EQ(tt->stats().flat_wire_queries, 0);
-    EXPECT_EQ(tt->stats().flat_collectives, 3);
-    EXPECT_EQ(p.stats().ttable_flat_wire_queries, 0);
-  });
-}
-
-TEST(FlatDereference, SingleProcess) {
-  rt::Machine::run(1, [](rt::Process& p) {
-    constexpr i64 n = 33;
-    std::vector<i64> mine(static_cast<std::size_t>(n));
-    std::iota(mine.begin(), mine.end(), 0);
-    std::reverse(mine.begin(), mine.end());  // local order != global order
-    auto tt = dist::TranslationTable::build(p, n, mine, 8, false);
-    std::vector<i64> q = {0, 32, 5, 5, 17};
-    std::vector<dist::Entry> flat;
-    dist::DereferenceWorkspace ws;
-    tt->dereference_flat(p, q, flat, ws);
-    const auto nested = tt->dereference(p, q);
-    expect_same(nested, flat);
-    EXPECT_EQ(tt->stats().flat_wire_queries, 0);  // everything self-homed
-  });
-}
-
-TEST(FlatDereference, ReplicatedAnswersWithZeroCollectives) {
-  rt::Machine::run(4, [](rt::Process& p) {
-    constexpr i64 n = 100;
-    auto mine = shuffled_ownership(n, p.nprocs(), p.rank(), 11);
-    auto tt = dist::TranslationTable::build(p, n, mine, 16, true);
-    std::vector<i64> q;
-    for (i64 g = p.rank(); g < n; g += 3) q.push_back(g);
-    std::vector<dist::Entry> flat;
-    dist::DereferenceWorkspace ws;
-    tt->dereference_flat(p, q, flat, ws);
-    const auto nested = tt->dereference(p, q);
-    expect_same(nested, flat);
-    EXPECT_EQ(tt->stats().flat_collectives, 0);
-    EXPECT_EQ(tt->stats().flat_wire_queries, 0);
-  });
-}
-
-TEST(FlatDereference, OutOfRangeThrowsTheNestedPathsError) {
-  // The flat entry point must fail out-of-range queries with the exact
-  // message of the nested path — callers switching protocols keep their
-  // error handling. Every rank passes the same bad query, so each throws
-  // locally before any collective.
-  std::string nested_msg, flat_msg;
-  try {
-    rt::Machine::run(2, [](rt::Process& p) {
-      auto mine = shuffled_ownership(10, p.nprocs(), p.rank(), 3);
-      auto tt = dist::TranslationTable::build(p, 10, mine, 4);
-      const std::vector<i64> q = {10};
-      (void)tt->dereference(p, q);
-    });
-    FAIL() << "nested dereference accepted an out-of-range query";
-  } catch (const chaos::ChaosError& e) {
-    nested_msg = e.what();
-  }
-  try {
-    rt::Machine::run(2, [](rt::Process& p) {
-      auto mine = shuffled_ownership(10, p.nprocs(), p.rank(), 3);
-      auto tt = dist::TranslationTable::build(p, 10, mine, 4);
-      const std::vector<i64> q = {10};
-      std::vector<dist::Entry> out;
-      dist::DereferenceWorkspace ws;
-      tt->dereference_flat(p, q, out, ws);
-    });
-    FAIL() << "flat dereference accepted an out-of-range query";
-  } catch (const chaos::ChaosError& e) {
-    flat_msg = e.what();
-  }
-  // CHAOS_CHECK prefixes file:line — compare from the message proper on.
-  const auto payload = [](const std::string& msg) {
-    const auto at = msg.find("check failed:");
-    return at == std::string::npos ? msg : msg.substr(at);
-  };
-  EXPECT_EQ(payload(nested_msg), payload(flat_msg));
-  EXPECT_NE(nested_msg.find(
-                "translation table: dereferenced index 10 outside [0, 10)"),
-            std::string::npos);
-}
-
-// --- inspector wiring: the flat cold path behind the workspace flag ---------
-
-TEST(FlatLocalize, FlagProducesBitIdenticalRefsAndSchedule) {
-  // Same references localized twice against an irregular distribution: once
-  // through the nested cold path, once with the flat flag on. refs, the CSR
-  // schedule, and off-process counts must match bit-for-bit; only the
-  // modeled collective bill differs (which is why the flag defaults off).
+TEST(FlatLocalize, RefsAndScheduleFollowTheOwnershipMap) {
+  // Owned references become their local index; off-process ones land in the
+  // ghost range of their owner's receive segment. One cold localize is one
+  // dereference of the backing table.
   rt::Machine::run(4, [](rt::Process& p) {
     constexpr i64 n = 120;
-    auto md = dist::Distribution::block(p, n);
-    std::vector<i64> slice(static_cast<std::size_t>(md->my_local_size()));
-    for (std::size_t l = 0; l < slice.size(); ++l) {
-      const i64 g = md->global_of(p.rank(), static_cast<i64>(l));
-      slice[l] = (g * 7 + 3) % p.nprocs();
-    }
-    auto d = dist::Distribution::irregular_from_map(p, slice, *md, 8);
+    auto d = scattered(p, n, 7, 3);
+    const i64 nlocal = d->my_local_size();
 
     std::vector<i64> refs;
-    for (i64 k = 0; k < 60; ++k) {
-      refs.push_back((k * 31 + p.rank() * 17) % n);
+    for (i64 k = 0; k < 60; ++k) refs.push_back((k * 31 + p.rank() * 17) % n);
+    const auto owners = d->locate(p, refs);
+    const i64 calls_before = d->table()->stats().calls;
+
+    core::InspectorWorkspace ws;
+    core::Localized out;
+    core::localize(p, *d, refs, ws, out);
+    EXPECT_EQ(d->table()->stats().calls, calls_before + 1);
+
+    ASSERT_EQ(out.refs.size(), refs.size());
+    i64 off = 0;
+    for (std::size_t k = 0; k < refs.size(); ++k) {
+      EXPECT_EQ(owners[k].proc, (refs[k] * 7 + 3) % p.nprocs());
+      if (owners[k].proc == p.rank()) {
+        EXPECT_EQ(out.refs[k], owners[k].local) << "global " << refs[k];
+        continue;
+      }
+      ++off;
+      const i64 slot = out.refs[k] - nlocal;
+      EXPECT_GE(slot, out.schedule.recv_offset(owners[k].proc));
+      EXPECT_LT(slot, out.schedule.recv_offset(owners[k].proc) +
+                          out.schedule.recv_count(owners[k].proc));
     }
-
-    core::InspectorWorkspace nested_ws;
-    core::Localized nested_out;
-    core::localize(p, *d, refs, nested_ws, nested_out);
-
-    core::InspectorWorkspace flat_ws;
-    flat_ws.set_flat_locate(true);
-    EXPECT_TRUE(flat_ws.flat_locate());
-    core::Localized flat_out;
-    core::localize(p, *d, refs, flat_ws, flat_out);
-
-    EXPECT_EQ(nested_out.refs, flat_out.refs);
-    EXPECT_EQ(nested_out.off_process_refs, flat_out.off_process_refs);
-    EXPECT_EQ(nested_out.schedule.send_indices, flat_out.schedule.send_indices);
-    EXPECT_EQ(nested_out.schedule.send_offsets, flat_out.schedule.send_offsets);
-    EXPECT_EQ(nested_out.schedule.recv_offsets, flat_out.schedule.recv_offsets);
-    EXPECT_EQ(nested_out.schedule.nghost, flat_out.schedule.nghost);
+    EXPECT_EQ(out.off_process_refs, off);
+    EXPECT_EQ(out.schedule.nghost, out.schedule.recv_offsets.back());
   });
 }
 
 TEST(FlatLocalize, ComposesWithTranslationCache) {
-  // Warm cache hits + flat cold misses: the first localize misses and runs
-  // the flat round; the second hits for every distinct global and skips the
-  // round entirely (the machine-wide vote). Results stay identical to the
-  // cache-free nested baseline throughout.
+  // Cache misses go through the dereference, hits skip it: the first
+  // localize misses and runs the round; the second hits for every distinct
+  // global and skips the round entirely (the machine-wide vote). Results
+  // stay identical to the cache-free localize throughout.
   rt::Machine::run(4, [](rt::Process& p) {
     constexpr i64 n = 96;
-    auto md = dist::Distribution::block(p, n);
-    std::vector<i64> slice(static_cast<std::size_t>(md->my_local_size()));
-    for (std::size_t l = 0; l < slice.size(); ++l) {
-      const i64 g = md->global_of(p.rank(), static_cast<i64>(l));
-      slice[l] = (g * 5 + 1) % p.nprocs();
-    }
-    auto d = dist::Distribution::irregular_from_map(p, slice, *md, 8);
+    auto d = scattered(p, n, 5, 1);
 
     std::vector<i64> refs;
-    for (i64 k = 0; k < 48; ++k) {
-      refs.push_back((k * 13 + p.rank() * 29) % n);
-    }
+    for (i64 k = 0; k < 48; ++k) refs.push_back((k * 13 + p.rank() * 29) % n);
 
-    const core::Localized baseline = core::localize(p, *d, refs);
+    core::InspectorWorkspace plain_ws;
+    core::Localized baseline;
+    core::localize(p, *d, refs, plain_ws, baseline);
 
     dist::TranslationCache cache(1 << 10);
+    core::PlanOptions opts;
+    opts.translation_cache = &cache;
     core::InspectorWorkspace ws;
-    ws.attach_cache(&cache);
-    ws.set_flat_locate(true);
+    ws.configure(opts);
     core::Localized out;
-    core::localize(p, *d, refs, ws, out);  // cold: flat round over misses
-    EXPECT_EQ(baseline.refs, out.refs);
-    const i64 flat_calls_after_cold = d->table()->stats().flat_calls;
-    EXPECT_GT(flat_calls_after_cold, 0);  // the flat cold path actually ran
+    const i64 calls_before = d->table()->stats().calls;
+    core::localize(p, *d, refs, ws, out);  // cold: the round over misses
+    expect_same(baseline, out);
+    const i64 calls_after_cold = d->table()->stats().calls;
+    EXPECT_EQ(calls_after_cold, calls_before + 1);
 
-    core::localize(p, *d, refs, ws, out);  // warm: vote skips the round
-    EXPECT_EQ(baseline.refs, out.refs);
-    EXPECT_EQ(baseline.schedule.send_indices, out.schedule.send_indices);
-    EXPECT_EQ(d->table()->stats().flat_calls, flat_calls_after_cold);
+    core::localize(p, *d, refs, ws, out);  // warm: the vote skips the round
+    expect_same(baseline, out);
+    EXPECT_EQ(d->table()->stats().calls, calls_after_cold);
+    EXPECT_GT(cache.stats().hits, 0);
   });
 }
