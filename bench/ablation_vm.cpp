@@ -1,24 +1,21 @@
-// Ablation F: bytecode VM vs tree-walking interpreter. The lang/ front end
-// lowers every program to PlanIR once at Instance construction and executes
-// through a flat dispatch loop with a program-level plan cache; the original
-// tree walk survives behind set_tree_walk(true) as a debug oracle. This
-// bench is the contract between them, on the paper's 10K mesh:
-//   1. modeled virtual times are bit-identical between the two modes on
-//      every configuration (the VM restructures host work only — it never
-//      touches the virtual clock);
-//   2. fetched result arrays and reuse-guard statistics are identical;
-//   3. a warm VM re-execution is a pure plan-cache hit: K timesteps cost
+// Ablation F: the PlanIR bytecode VM on the paper's 10K mesh. The lang/
+// front end lowers every program to PlanIR once at Instance construction and
+// executes it through a flat dispatch loop with a program-level plan cache.
+// Gates, per configuration:
+//   1. the fetched Y matches the serial reference evaluator (reference.hpp):
+//      |vm - ref| <= 1e-12 * scale per element, the bound of a reordered
+//      f64 sum;
+//   2. a warm re-execution is a pure plan-cache hit: K timesteps cost
 //      exactly 1 inspector miss and K-1 CHECK_INCARNATION hits;
-//   4. a warm VM sweep performs ZERO heap allocations per rank
-//      (operator-new hook, two-point delta over timestep counts);
-//   5. VM warm-sweep host wall time does not exceed the tree walk's (the
-//      dispatch loop replaces AST visits + per-sweep guard scans).
-// Results go to BENCH_vm.json.
-#include <algorithm>
+//   3. a warm sweep performs ZERO heap allocations per rank (operator-new
+//      hook, two-point delta over timestep counts).
+// Modeled virtual times are deterministic; host wall time per warm sweep is
+// reported, not gated. Results go to BENCH_vm.json.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <string>
 #include <vector>
@@ -26,6 +23,7 @@
 #include "bench/common.hpp"
 #include "lang/interp.hpp"
 #include "lang/parser.hpp"
+#include "lang/reference.hpp"
 
 // --- global allocation counter ----------------------------------------------
 
@@ -75,7 +73,7 @@ namespace {
 constexpr int kProcs = 8;
 constexpr int kStepsCold = 4;    // lower point of the two-point delta
 constexpr int kStepsWarm = 52;   // upper point; also the reported run
-constexpr int kWallRepeats = 5;  // min-of-N for the wall-time gate
+constexpr int kWallRepeats = 5;  // min-of-N for the wall-time figures
 
 /// The Figure-4 timestep pipeline with a parameterized partitioner prologue
 /// and NSTEP timesteps.
@@ -112,48 +110,61 @@ struct Config {
   bool reuse = true;
 };
 
-struct ModeResult {
-  std::string mode;  // "vm" or "tree_walk"
+/// Host inputs, shared by every VM run (which sets its own NSTEP) and the
+/// reference evaluation.
+struct Inputs {
+  std::map<std::string, i64> params;
+  std::map<std::string, std::vector<f64>> reals;
+  std::map<std::string, std::vector<i64>> ints;
+};
+
+Inputs make_inputs(const bench::Workload& w, const Config& cfg) {
+  Inputs in;
+  in.params = {{"NNODE", w.nnodes}, {"NEDGE", w.nedges}, {"NSTEP", kStepsWarm}};
+  std::vector<f64> x0(static_cast<std::size_t>(w.nnodes));
+  for (i64 i = 0; i < w.nnodes; ++i) {
+    x0[static_cast<std::size_t>(i)] = 1.0 + static_cast<f64>(i % 17) * 0.25;
+  }
+  in.reals["X"] = std::move(x0);
+  if (cfg.partitioned) {
+    in.reals["CX"] = w.cx;
+    in.reals["CY"] = w.cy;
+    in.reals["CZ"] = w.cz;
+  }
+  auto to_1based = [](const std::vector<i64>& v) {
+    std::vector<i64> r(v);
+    for (auto& e : r) e += 1;
+    return r;
+  };
+  in.ints["END_PT1"] = to_1based(w.e1);
+  in.ints["END_PT2"] = to_1based(w.e2);
+  return in;
+}
+
+struct Result {
   lang::PhaseTimes phases;
   std::vector<f64> y;  // fetched result at kStepsWarm
   i64 cache_hits = 0, cache_misses = 0;
   f64 per_sweep_wall_us = 0.0;
   f64 allocs_per_sweep_per_rank = 0.0;
-  f64 wall_seconds = 0.0;  // whole kStepsWarm pipeline, median
+  f64 wall_seconds = 0.0;  // whole kStepsWarm pipeline, min of N
+  bool reference_match = false;
 };
 
 /// One full pipeline execution at @p nstep timesteps; returns the host wall
 /// seconds of execute() itself (max over ranks, excluding worker-pool
 /// dispatch) and fills the introspection fields when @p out is given.
-f64 run_once(const lang::Program& prog, const bench::Workload& w,
-             const Config& cfg, bool tree_walk, int nstep, ModeResult* out) {
+f64 run_once(const lang::Program& prog, const Inputs& in, const Config& cfg,
+             int nstep, Result* out) {
   rt::Machine& machine = bench::pooled_machine(kProcs);
   f64 exec_wall = 0.0;
   machine.run([&](rt::Process& p) {
     lang::Instance inst(prog);
-    inst.set_tree_walk(tree_walk);
     inst.set_schedule_reuse(cfg.reuse);
-    inst.set_param("NNODE", w.nnodes);
-    inst.set_param("NEDGE", w.nedges);
+    for (const auto& [name, v] : in.params) inst.set_param(name, v);
     inst.set_param("NSTEP", nstep);
-    std::vector<f64> x0(static_cast<std::size_t>(w.nnodes));
-    for (i64 i = 0; i < w.nnodes; ++i) {
-      x0[static_cast<std::size_t>(i)] =
-          1.0 + static_cast<f64>(i % 17) * 0.25;
-    }
-    inst.bind_real("X", std::move(x0));
-    auto to_1based = [](const std::vector<i64>& v) {
-      std::vector<i64> r(v);
-      for (auto& e : r) e += 1;
-      return r;
-    };
-    inst.bind_int("END_PT1", to_1based(w.e1));
-    inst.bind_int("END_PT2", to_1based(w.e2));
-    if (cfg.partitioned) {
-      inst.bind_real("CX", w.cx);
-      inst.bind_real("CY", w.cy);
-      inst.bind_real("CZ", w.cz);
-    }
+    for (const auto& [name, v] : in.reals) inst.bind_real(name, v);
+    for (const auto& [name, v] : in.ints) inst.bind_int(name, v);
     rt::barrier(p);
     const auto w0 = std::chrono::steady_clock::now();
     inst.execute(p);
@@ -175,82 +186,50 @@ f64 run_once(const lang::Program& prog, const bench::Workload& w,
   return exec_wall;
 }
 
-ModeResult run_mode(const lang::Program& prog, const bench::Workload& w,
-                    const Config& cfg, bool tree_walk) {
-  ModeResult r;
-  r.mode = tree_walk ? "tree_walk" : "vm";
+Result run_config(const lang::Program& prog, const bench::Workload& w,
+                  const Config& cfg) {
+  Result r;
+  const Inputs in = make_inputs(w, cfg);
 
   // Warmup: constructs the pooled machine and faults in allocator arenas so
   // neither shows up in the allocation delta below.
-  run_once(prog, w, cfg, tree_walk, kStepsCold, nullptr);
+  run_once(prog, in, cfg, kStepsCold, nullptr);
 
   // Allocation delta: extra heap allocations of (kStepsWarm - kStepsCold)
   // warm sweeps; the cold build cancels out. One untimed run per point.
   const long long a0 = g_heap_allocs.load(std::memory_order_relaxed);
-  run_once(prog, w, cfg, tree_walk, kStepsCold, nullptr);
+  run_once(prog, in, cfg, kStepsCold, nullptr);
   const long long a1 = g_heap_allocs.load(std::memory_order_relaxed);
-  run_once(prog, w, cfg, tree_walk, kStepsWarm, nullptr);
+  run_once(prog, in, cfg, kStepsWarm, nullptr);
   const long long a2 = g_heap_allocs.load(std::memory_order_relaxed);
   r.allocs_per_sweep_per_rank =
       static_cast<f64>((a2 - a1) - (a1 - a0)) /
       (static_cast<f64>(kStepsWarm - kStepsCold) * static_cast<f64>(kProcs));
 
   // The reported run: phases, results, counters at kStepsWarm.
-  run_once(prog, w, cfg, tree_walk, kStepsWarm, &r);
-  return r;
-}
+  run_once(prog, in, cfg, kStepsWarm, &r);
 
-/// Fills both modes' wall-time fields. The four measured points (two modes x
-/// two timestep counts) are interleaved inside each repetition so slow host
-/// drift (frequency scaling, background load) hits them equally, and the
-/// min over repetitions is kept — the run least disturbed by the scheduler.
-void measure_walls(const lang::Program& prog, const bench::Workload& w,
-                   const Config& cfg, ModeResult* vm, ModeResult* tw) {
-  f64 wall[2][2];  // [mode][point], mode 0 = vm
+  // Wall time: both points inside each repetition, so slow host drift hits
+  // them equally; the min over repetitions is the least disturbed run.
+  f64 wall[2] = {0.0, 0.0};
   for (int rep = 0; rep < kWallRepeats; ++rep) {
-    for (int mode = 0; mode < 2; ++mode) {
-      for (int point = 0; point < 2; ++point) {
-        const int nstep = point == 0 ? kStepsCold : kStepsWarm;
-        const f64 v = run_once(prog, w, cfg, mode == 1, nstep, nullptr);
-        if (rep == 0 || v < wall[mode][point]) wall[mode][point] = v;
-      }
+    for (int point = 0; point < 2; ++point) {
+      const f64 v = run_once(prog, in, cfg,
+                             point == 0 ? kStepsCold : kStepsWarm, nullptr);
+      if (rep == 0 || v < wall[point]) wall[point] = v;
     }
   }
-  for (int mode = 0; mode < 2; ++mode) {
-    ModeResult* r = mode == 0 ? vm : tw;
-    r->wall_seconds = wall[mode][1];
-    r->per_sweep_wall_us = (wall[mode][1] - wall[mode][0]) /
-                           static_cast<f64>(kStepsWarm - kStepsCold) * 1e6;
-  }
-}
+  r.wall_seconds = wall[1];
+  r.per_sweep_wall_us =
+      (wall[1] - wall[0]) / static_cast<f64>(kStepsWarm - kStepsCold) * 1e6;
 
-struct ConfigResult {
-  Config cfg;
-  ModeResult vm, tw;
-  bool phases_identical = false;
-  bool results_identical = false;
-  bool stats_identical = false;
-};
-
-ConfigResult run_config(const lang::Program& prog, const bench::Workload& w,
-                        const Config& cfg) {
-  ConfigResult r;
-  r.cfg = cfg;
-  r.vm = run_mode(prog, w, cfg, /*tree_walk=*/false);
-  r.tw = run_mode(prog, w, cfg, /*tree_walk=*/true);
-  measure_walls(prog, w, cfg, &r.vm, &r.tw);
-  r.phases_identical = r.vm.phases.graph_gen == r.tw.phases.graph_gen &&
-                       r.vm.phases.partition == r.tw.phases.partition &&
-                       r.vm.phases.remap == r.tw.phases.remap &&
-                       r.vm.phases.inspector == r.tw.phases.inspector &&
-                       r.vm.phases.executor == r.tw.phases.executor;
-  r.results_identical = r.vm.y == r.tw.y;
-  r.stats_identical = r.vm.cache_hits == r.tw.cache_hits &&
-                      r.vm.cache_misses == r.tw.cache_misses;
+  const auto ref = lang::evaluate_reference(prog, in.params, in.reals, in.ints);
+  r.reference_match = lang::first_reference_mismatch(r.y, ref.at("Y")) < 0;
   return r;
 }
 
-bool write_json(const std::vector<ConfigResult>& results) {
+bool write_json(const std::vector<Config>& configs,
+                const std::vector<Result>& results) {
   std::FILE* f = std::fopen("BENCH_vm.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open BENCH_vm.json for writing\n");
@@ -265,26 +244,15 @@ bool write_json(const std::vector<ConfigResult>& results) {
     const auto& r = results[i];
     std::fprintf(
         f,
-        "    {\"config\": \"%s\", "
-        "\"modeled_total_seconds\": %.6f, "
-        "\"phases_identical\": %s, \"results_identical\": %s, "
-        "\"stats_identical\": %s, "
-        "\"vm\": {\"per_sweep_wall_us\": %.2f, "
+        "    {\"config\": \"%s\", \"modeled_total_seconds\": %.6f, "
+        "\"reference_match\": %s, \"per_sweep_wall_us\": %.2f, "
         "\"allocs_per_sweep_per_rank\": %.2f, \"wall_seconds\": %.6f, "
-        "\"cache_hits\": %lld, \"cache_misses\": %lld}, "
-        "\"tree_walk\": {\"per_sweep_wall_us\": %.2f, "
-        "\"allocs_per_sweep_per_rank\": %.2f, \"wall_seconds\": %.6f, "
-        "\"cache_hits\": %lld, \"cache_misses\": %lld}}%s\n",
-        r.cfg.name.c_str(), r.vm.phases.total(),
-        r.phases_identical ? "true" : "false",
-        r.results_identical ? "true" : "false",
-        r.stats_identical ? "true" : "false", r.vm.per_sweep_wall_us,
-        r.vm.allocs_per_sweep_per_rank, r.vm.wall_seconds,
-        static_cast<long long>(r.vm.cache_hits),
-        static_cast<long long>(r.vm.cache_misses), r.tw.per_sweep_wall_us,
-        r.tw.allocs_per_sweep_per_rank, r.tw.wall_seconds,
-        static_cast<long long>(r.tw.cache_hits),
-        static_cast<long long>(r.tw.cache_misses),
+        "\"cache_hits\": %lld, \"cache_misses\": %lld}%s\n",
+        configs[i].name.c_str(), r.phases.total(),
+        r.reference_match ? "true" : "false", r.per_sweep_wall_us,
+        r.allocs_per_sweep_per_rank, r.wall_seconds,
+        static_cast<long long>(r.cache_hits),
+        static_cast<long long>(r.cache_misses),
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -292,22 +260,10 @@ bool write_json(const std::vector<ConfigResult>& results) {
   return true;
 }
 
-void print_result(const ConfigResult& r) {
-  std::printf("%-12s modeled %9.4f s  %s %s %s  vm %8.1f us/sweep "
-              "%6.2f allocs  tw %8.1f us/sweep %6.2f allocs\n",
-              r.cfg.name.c_str(), r.vm.phases.total(),
-              r.phases_identical ? "phases=ok" : "phases=DIFF",
-              r.results_identical ? "results=ok" : "results=DIFF",
-              r.stats_identical ? "stats=ok" : "stats=DIFF",
-              r.vm.per_sweep_wall_us, r.vm.allocs_per_sweep_per_rank,
-              r.tw.per_sweep_wall_us, r.tw.allocs_per_sweep_per_rank);
-  std::fflush(stdout);
-}
-
 }  // namespace
 
 int main() {
-  std::printf("Ablation F: PlanIR bytecode VM vs tree-walking interpreter "
+  std::printf("Ablation F: PlanIR bytecode VM against the serial reference "
               "(10K mesh, P=%d, %d timesteps)\n\n",
               kProcs, kStepsWarm);
 
@@ -318,80 +274,54 @@ int main() {
       {"block_noreuse", /*partitioned=*/false, /*reuse=*/false},
   };
 
-  std::vector<ConfigResult> results;
+  std::vector<Result> results;
   for (const auto& cfg : configs) {
     const auto prog = lang::compile(pipeline_source(cfg.partitioned));
-    results.push_back(run_config(prog, w, cfg));
-    print_result(results.back());
+    const Result& r = results.emplace_back(run_config(prog, w, cfg));
+    std::printf("%-13s modeled %9.4f s  %s  %8.1f us/sweep  %6.2f allocs  "
+                "%lld hits / %lld misses\n",
+                cfg.name.c_str(), r.phases.total(),
+                r.reference_match ? "reference=ok" : "reference=DIFF",
+                r.per_sweep_wall_us, r.allocs_per_sweep_per_rank,
+                static_cast<long long>(r.cache_hits),
+                static_cast<long long>(r.cache_misses));
+    std::fflush(stdout);
   }
 
-  if (write_json(results)) std::printf("\nwrote BENCH_vm.json\n");
+  if (write_json(configs, results)) std::printf("\nwrote BENCH_vm.json\n");
 
   // Hard gates (checked here so CI smoke fails loudly).
   int rc = 0;
-  for (const auto& r : results) {
-    if (!r.phases_identical) {
-      std::fprintf(stderr,
-                   "FAIL: %s modeled phase times differ between VM and tree "
-                   "walk\n",
-                   r.cfg.name.c_str());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const Config& cfg = configs[i];
+    const Result& r = results[i];
+    if (!r.reference_match) {
+      std::fprintf(stderr, "FAIL: %s fetched Y differs from the serial "
+                   "reference beyond 1e-12 of the sum scale\n",
+                   cfg.name.c_str());
       rc = 1;
     }
-    if (!r.results_identical) {
-      std::fprintf(stderr, "FAIL: %s fetched arrays differ between modes\n",
-                   r.cfg.name.c_str());
-      rc = 1;
-    }
-    if (!r.stats_identical) {
-      std::fprintf(stderr,
-                   "FAIL: %s reuse-guard statistics differ between modes\n",
-                   r.cfg.name.c_str());
-      rc = 1;
-    }
-    if (r.cfg.reuse &&
-        (r.vm.cache_misses != 1 || r.vm.cache_hits != kStepsWarm - 1)) {
+    if (cfg.reuse &&
+        (r.cache_misses != 1 || r.cache_hits != kStepsWarm - 1)) {
       std::fprintf(stderr,
                    "FAIL: %s VM warm path is not pure plan-cache hits "
                    "(%lld misses / %lld hits, want 1 / %d)\n",
-                   r.cfg.name.c_str(),
-                   static_cast<long long>(r.vm.cache_misses),
-                   static_cast<long long>(r.vm.cache_hits), kStepsWarm - 1);
+                   cfg.name.c_str(), static_cast<long long>(r.cache_misses),
+                   static_cast<long long>(r.cache_hits), kStepsWarm - 1);
       rc = 1;
     }
-    if (r.cfg.reuse && r.vm.allocs_per_sweep_per_rank != 0.0) {
+    if (cfg.reuse && r.allocs_per_sweep_per_rank != 0.0) {
       std::fprintf(stderr,
                    "FAIL: %s VM performed %.2f heap allocations per warm "
                    "sweep per rank (want 0)\n",
-                   r.cfg.name.c_str(), r.vm.allocs_per_sweep_per_rank);
+                   cfg.name.c_str(), r.allocs_per_sweep_per_rank);
       rc = 1;
     }
   }
-  // Dispatch overhead: VM warm sweeps must not be slower than the tree
-  // walk's. Per-config deltas of a sync-heavy ~1ms quantity carry +-100us
-  // scheduler jitter either way, so the gate pools the reuse configs (the
-  // noreuse config re-runs the inspector each sweep and measures that, not
-  // dispatch); 10% + 20us/config headroom absorbs the residual noise
-  // without weakening the claim.
-  f64 vm_sum_us = 0.0, tw_sum_us = 0.0;
-  int pooled = 0;
-  for (const auto& r : results) {
-    if (!r.cfg.reuse) continue;
-    vm_sum_us += r.vm.per_sweep_wall_us;
-    tw_sum_us += r.tw.per_sweep_wall_us;
-    ++pooled;
-  }
-  if (vm_sum_us > tw_sum_us * 1.10 + 20.0 * static_cast<f64>(pooled)) {
-    std::fprintf(stderr,
-                 "FAIL: VM warm sweeps total %.1f us across %d reuse "
-                 "configs, exceeding the tree walk's %.1f us\n",
-                 vm_sum_us, pooled, tw_sum_us);
-    rc = 1;
-  }
   if (rc == 0) {
-    std::printf("\nPASS: VM and tree walk are bit-identical in modeled time, "
-                "results, and guard statistics; warm VM sweeps are pure "
-                "plan-cache hits, allocation-free, and at or under tree-walk "
-                "dispatch cost\n");
+    std::printf("\nPASS: every configuration matches the serial reference; "
+                "warm VM sweeps are pure plan-cache hits and "
+                "allocation-free\n");
   }
   return rc;
 }

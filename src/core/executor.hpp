@@ -140,8 +140,8 @@ inline void gather_unpack(rt::Process& p, const CommSchedule& schedule) {
 /// Collective gather: fills @p ghost (size schedule.nghost) with copies of
 /// the off-process elements the inspector recorded, reading my owned
 /// elements from @p local for peers that requested them. Fused pack →
-/// exchange pass; composed from the three split phases above so the tree-walk
-/// interpreter and the bytecode VM's PACK/EXCHANGE/UNPACK ops share one
+/// exchange pass; composed from the three split phases above so the hand
+/// pipelines and the bytecode VM's PACK/EXCHANGE/UNPACK ops share one
 /// implementation (and therefore one modeled-charge sequence).
 template <typename T>
 void gather_ghosts(rt::Process& p, const CommSchedule& schedule,

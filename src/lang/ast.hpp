@@ -26,6 +26,11 @@ namespace chaos::lang {
 
 // --- expressions ------------------------------------------------------------
 
+/// Height limit of an expression tree. The parser enforces it; it also sizes
+/// the VM's evaluation stack, since a tree never needs more stack slots than
+/// its height.
+inline constexpr int kMaxExprDepth = 64;
+
 enum class BinOp : u8 { Add, Sub, Mul, Div, Pow };
 enum class Intrinsic : u8 { Sqrt, Abs, Sin, Cos, Exp, Min, Max, Mod };
 

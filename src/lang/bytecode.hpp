@@ -1,22 +1,18 @@
 // PlanIR: the flat bytecode a lang/ Program is lowered to, once, before the
 // first execution. The lowering pass (compile.cpp) walks the semantically
-// analyzed AST exactly one time and hoists every decision the tree-walking
-// interpreter used to make per sweep — indirection/read/write classification,
-// operand-slot assignment, body-expression flattening, and (crucially) the
-// Section 3 inspector-reuse guard, which becomes an explicit
-// CHECK_INCARNATION instruction — so a warm re-execution of a FORALL touches
-// no AST node and invokes no inspector.
+// analyzed AST exactly one time and hoists every per-FORALL decision —
+// indirection/read/write classification, operand-slot assignment,
+// body-expression flattening, and (crucially) the Section 3 inspector-reuse
+// guard, which becomes an explicit CHECK_INCARNATION instruction — so a warm
+// re-execution of a FORALL touches no AST node and invokes no inspector.
 //
 // Lowering is pure analysis: it never throws, never charges the virtual
 // clock, and needs no runtime state (arrays are not even materialized yet).
-// Every semantic check keeps its original failure site by being re-issued at
-// plan-build time from the precomputed metadata, in the tree-walker's exact
-// order, so diagnostics and modeled virtual times stay bit-identical between
-// the two execution modes.
+// Every semantic check is issued at plan-build time from the precomputed
+// metadata, so a faulty FORALL fails only when it is reached, at the line of
+// its statement, in the order the name lists below fix.
 #pragma once
 
-#include <algorithm>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -55,8 +51,8 @@ struct OperandSym {
 };
 
 /// A scalar reference (PARAMETER or DO variable), recorded at its first
-/// occurrence so plan-build resolution reports "unbound scalar" for the same
-/// source position the tree-walker would.
+/// occurrence so plan-build resolution reports "unbound scalar" at the first
+/// use in source order.
 struct ScalarSym {
   std::string name;
   int line = 0;
@@ -75,9 +71,8 @@ struct BodySym {
 
 // --- per-statement metadata --------------------------------------------------
 
-/// Everything the tree-walking interpreter derived from a Forall AST node,
-/// computed once. The name lists keep the walker's exact orders — they are
-/// semantic contracts, not conveniences:
+/// Everything the plan build needs from a Forall AST node, computed once.
+/// The orders of the name lists are semantic contracts, not conveniences:
 ///   * ind_names: first-occurrence order (batch indices, remap order);
 ///   * read_data / read_direct: sorted (ghost-slot and gather order);
 ///   * data_arrays / direct_arrays: sorted (anchor-distribution checks);
@@ -104,7 +99,7 @@ struct ForallMeta {
   std::vector<std::string> written;        ///< unique target arrays
 
   /// First array (sorted order) that is both read and written — the
-  /// tree-walker's read/write-conflict diagnostic, precomputed; empty = ok.
+  /// read/write-conflict diagnostic, precomputed; empty = ok.
   std::string conflict_array;
 
   i64 expr_flops_per_iter = 0;
@@ -113,11 +108,9 @@ struct ForallMeta {
   /// SCATTER_ASSIGN instruction per slot before any plan exists.
   int n_accs = 0;
   int n_assigns = 0;
-
-  const Forall* src = nullptr;  ///< diagnostics + the tree-walk oracle
 };
 
-/// DO-loop header (bounds resolved once at LOOP_BEGIN, like the walker).
+/// DO-loop header (bounds resolved once per entry, at LOOP_BEGIN).
 struct LoopMeta {
   std::string var;
   SizeExpr lo, hi;
@@ -169,58 +162,5 @@ struct ProgramPlan {
 /// Lowers a compiled program to PlanIR. Pure, non-throwing, charge-free:
 /// safe to run at Instance construction on every rank.
 [[nodiscard]] ProgramPlan lower(const Program& program);
-
-// --- shared AST scan ---------------------------------------------------------
-
-/// Walks an expression collecting indirection-array names, read arrays, and
-/// cost estimates. Used by the lowering pass (once per program) and by the
-/// tree-walk oracle's per-sweep guard assembly (its defining overhead, which
-/// the VM's CHECK_INCARNATION removes).
-struct ExprScan {
-  std::vector<std::string> ind_names;
-  std::set<std::string> read_data;    // arrays read via indirection
-  std::set<std::string> read_direct;  // arrays read as a(i)
-  i64 flops = 0;
-  i64 mem_refs = 0;
-
-  void note_index(const IndexRef& idx) {
-    if (!idx.direct) {
-      if (std::find(ind_names.begin(), ind_names.end(), idx.ind_array) ==
-          ind_names.end()) {
-        ind_names.push_back(idx.ind_array);
-      }
-      ++mem_refs;
-    }
-  }
-
-  void scan(const Expr& e) {
-    ++flops;
-    if (const auto* a = std::get_if<Expr::ArrayRef>(&e.node)) {
-      if (!a->array.empty()) {
-        note_index(a->index);
-        // Compiler-generated addressing: a guarded local/ghost select per
-        // reference on top of the load itself.
-        ++flops;
-        ++mem_refs;
-        (a->index.direct ? read_direct : read_data).insert(a->array);
-      }
-      return;
-    }
-    if (const auto* u = std::get_if<Expr::Unary>(&e.node)) {
-      scan(*u->operand);
-      return;
-    }
-    if (const auto* b = std::get_if<Expr::Binary>(&e.node)) {
-      scan(*b->lhs);
-      scan(*b->rhs);
-      return;
-    }
-    if (const auto* c = std::get_if<Expr::Call>(&e.node)) {
-      flops += 8;  // intrinsics cost more than one op
-      for (const auto& arg : c->args) scan(*arg);
-      return;
-    }
-  }
-};
 
 }  // namespace chaos::lang

@@ -2,8 +2,8 @@
 // program, at Instance construction. Anything that can fail — unknown
 // arrays, type mismatches, unbound scalars, read/write conflicts — is only
 // *recorded* here (names, lines, precomputed conflict markers) and checked
-// at plan-build time, so a program whose faulty FORALL is never reached
-// behaves exactly as it did under the tree-walker.
+// at plan-build time, so a faulty FORALL that is never reached never fails.
+#include <algorithm>
 #include <map>
 #include <set>
 #include <utility>
@@ -15,10 +15,59 @@ namespace chaos::lang {
 
 namespace {
 
+/// Walks an expression collecting indirection-array names, read arrays, and
+/// cost estimates.
+struct ExprScan {
+  std::vector<std::string> ind_names;
+  std::set<std::string> read_data;    // arrays read via indirection
+  std::set<std::string> read_direct;  // arrays read as a(i)
+  i64 flops = 0;
+  i64 mem_refs = 0;
+
+  void note_index(const IndexRef& idx) {
+    if (!idx.direct) {
+      if (std::find(ind_names.begin(), ind_names.end(), idx.ind_array) ==
+          ind_names.end()) {
+        ind_names.push_back(idx.ind_array);
+      }
+      ++mem_refs;
+    }
+  }
+
+  void scan(const Expr& e) {
+    ++flops;
+    if (const auto* a = std::get_if<Expr::ArrayRef>(&e.node)) {
+      if (!a->array.empty()) {
+        note_index(a->index);
+        // Compiler-generated addressing: a guarded local/ghost select per
+        // reference on top of the load itself.
+        ++flops;
+        ++mem_refs;
+        (a->index.direct ? read_direct : read_data).insert(a->array);
+      }
+      return;
+    }
+    if (const auto* u = std::get_if<Expr::Unary>(&e.node)) {
+      scan(*u->operand);
+      return;
+    }
+    if (const auto* b = std::get_if<Expr::Binary>(&e.node)) {
+      scan(*b->lhs);
+      scan(*b->rhs);
+      return;
+    }
+    if (const auto* c = std::get_if<Expr::Call>(&e.node)) {
+      flops += 8;  // intrinsics cost more than one op
+      for (const auto& arg : c->args) scan(*arg);
+      return;
+    }
+  }
+};
+
 /// Flattens one expression into symbolic stack bytecode, assigning operand
-/// and scalar slots in first-occurrence order (the same order the
-/// tree-walker's ExprCompiler registered them, so plan-build resolution
-/// reproduces its first-error behavior). Returns the needed stack depth.
+/// and scalar slots in first-occurrence order, so plan-build resolution
+/// reports the first unbound scalar in source order. Returns the needed
+/// stack depth, which never exceeds the expression's tree height.
 class SymbolicCompiler {
  public:
   SymbolicCompiler(ForallMeta& meta, const std::map<std::string, int>& batch_of,
@@ -64,8 +113,7 @@ class SymbolicCompiler {
         spec.batch = batch_of_.at(a->index.ind_array);
         spec.ghost_slot = ghost_data_slot_.at(a->array);
       }
-      // Deduplicate identical operand specs (same key as the tree-walker:
-      // group, batch, array).
+      // Deduplicate identical operand specs by (group, batch, array).
       i32 slot = -1;
       for (std::size_t k = 0; k < meta_.operands.size(); ++k) {
         const auto& o = meta_.operands[k];
@@ -161,9 +209,8 @@ struct Lowerer {
     m.loop_var = f.loop_var;
     m.lo = f.lo;
     m.hi = f.hi;
-    m.src = &f;
 
-    // ---- analysis (the tree-walker's per-build ExprScan, hoisted) ----------
+    // ---- analysis -----------------------------------------------------------
     ExprScan scan;
     std::set<std::string> written;
     for (const auto& stmt : f.body) {

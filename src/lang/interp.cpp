@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -76,9 +75,8 @@ struct WriteSlot {
   core::ReduceOp rop = core::ReduceOp::Add;
 };
 
-/// Inspector product of one FORALL (cached under the Section 3 guard). Built
-/// from the statement's lowered ForallMeta — never from the AST — so the
-/// tree-walk oracle and the VM construct byte-identical plans.
+/// Inspector product of one FORALL (cached under the Section 3 guard), built
+/// from the statement's lowered ForallMeta — never from the AST.
 struct LoopPlan {
   const ForallMeta* meta = nullptr;  ///< borrowed from the ProgramPlan
 
@@ -185,10 +183,8 @@ struct Instance::State {
   std::map<std::string, std::shared_ptr<const dist::Distribution>> dists;
   std::map<std::string, i64> scalars;
   core::ReuseRegistry registry;
-  /// Section 3 guard for the tree-walk oracle (one slot per loop id).
-  core::InspectorCache cache;
-  /// Section 3 guard for the VM: plans keyed by (statement id, DAD
-  /// incarnation set), probed by CHECK_INCARNATION.
+  /// Section 3 guard: plans keyed by (statement id, DAD incarnation set),
+  /// probed by CHECK_INCARNATION.
   core::PlanCache plan_cache;
   std::vector<ForallRt> frt;  ///< indexed by ProgramPlan forall id
   /// Section 3 applied to the mapper coupler: cached GeoCoL graphs and
@@ -238,10 +234,20 @@ void Instance::bind_int(const std::string& array,
   int_bindings_[key] = std::move(global_values);
 }
 
+void Instance::set_options(const core::PlanOptions& opts) {
+  if (opts.translation_cache != nullptr) {
+    throw ChaosError(
+        "lang::Instance::set_options: the VM takes no translation cache (a "
+        "cache binds to one distribution; a program's FORALLs localize "
+        "against several)");
+  }
+  plan_opts_ = opts;
+}
+
 const core::InspectorCache::Stats& Instance::cache_stats() const {
   static const core::InspectorCache::Stats kZero{};
   if (!state_) return kZero;
-  return tree_walk_ ? state_->cache.stats() : state_->plan_cache.stats();
+  return state_->plan_cache.stats();
 }
 
 const core::InspectorCache::Stats& Instance::mapper_cache_stats() const {
@@ -281,13 +287,13 @@ ArrayInfo& lookup_array(Instance::State& st, const std::string& name,
 }
 
 // ---------------------------------------------------------------------------
-// FORALL: plan build (PARTITION + LOCALIZE), shared by both execution modes
+// FORALL: plan build (PARTITION + LOCALIZE)
 // ---------------------------------------------------------------------------
 
 /// PARTITION: semantic classification against current array state, then the
-/// iteration partition + indirection remap (remap time). Every check the
-/// tree-walker made per build is re-issued here from the lowered metadata,
-/// in its exact order, so diagnostics are mode-independent.
+/// iteration partition + indirection remap (remap time). The checks run in a
+/// fixed order: the read/write conflict, then indirection arrays in
+/// first-occurrence order, then data and direct arrays sorted by name.
 void plan_partition(rt::Process& p, Instance::State& st, const ForallMeta& m,
                     i64 n, LoopPlan& plan, PhaseTimes& phases) {
   if (!m.conflict_array.empty()) {
@@ -419,9 +425,9 @@ void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
   plan.ghost_data.resize(plan.reads_data.size());
   plan.ghost_direct.resize(plan.reads_direct.size());
 
-  // Scalar slots, in the meta's first-occurrence order: the first unbound
-  // one reported here is the first the tree-walker's expression compiler
-  // would have hit. std::map nodes are address-stable: bind storage directly.
+  // Scalar slots, in the meta's first-occurrence order, so the unbound
+  // scalar reported is the first one in source order. std::map nodes are
+  // address-stable: bind storage directly.
   plan.scalar_ptrs.reserve(m.scalars.size());
   for (const auto& sym : m.scalars) {
     const auto it = st.scalars.find(sym.name);
@@ -435,7 +441,8 @@ void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
     plan.operands.push_back(
         {o.group, o.batch, &st.arrays.at(o.array), o.ghost_slot});
   }
-  CHAOS_CHECK(m.max_stack <= 64, "FORALL expression too deep");
+  CHAOS_CHECK(m.max_stack <= kMaxExprDepth,
+              "internal: the parser's depth limit bounds the FORALL stack");
 
   // Resolve writes: reduces share the read groups' schedules; assigns get
   // private schedules so Replace never touches unwritten elements.
@@ -497,24 +504,6 @@ void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
     plan.written_targets.push_back(&st.arrays.at(name));
   }
   phases.inspector += section.elapsed_sec();
-}
-
-/// Builds the full inspector product for one FORALL (the tree-walk oracle's
-/// miss path; the VM runs the same two helpers from its PARTITION and
-/// LOCALIZE ops). Collective.
-std::shared_ptr<LoopPlan> build_plan(rt::Process& p, Instance::State& st,
-                                     const ForallMeta& m, i64 n,
-                                     const core::PlanOptions& opts,
-                                     PhaseTimes& phases) {
-  auto plan = std::make_shared<LoopPlan>();
-  plan->build.begin_build();
-  plan->meta = &m;
-  plan->iws.configure(opts);
-  plan->direct_iws.configure(opts);
-  plan_partition(p, st, m, n, *plan, phases);
-  plan_localize(p, st, m, *plan, phases);
-  plan->build.mark_built();
-  return plan;
 }
 
 /// Incremental repair of a cached LoopPlan whose guard failed ONLY the
@@ -618,7 +607,7 @@ bool repair_plan(rt::Process& p, Instance::State& st, const ForallMeta& m,
 }
 
 // ---------------------------------------------------------------------------
-// FORALL: execution ops, shared by both execution modes
+// FORALL: execution ops
 // ---------------------------------------------------------------------------
 
 /// Runs one statement's bytecode for local iteration @p l.
@@ -781,7 +770,7 @@ void exec_compute(rt::Process& p, LoopPlan& plan) {
 
   // The sweep (statically compiled bytecode per statement).
   const i64 niter = static_cast<i64>(plan.iter_ids.size());
-  f64 stack[64];
+  f64 stack[kMaxExprDepth];
   for (i64 l = 0; l < niter; ++l) {
     const f64 iter_value =
         static_cast<f64>(plan.iter_ids[static_cast<std::size_t>(l)] + 1);
@@ -845,118 +834,10 @@ void exec_note_writes(LoopPlan& plan, core::ReuseRegistry& reg) {
   }
 }
 
-/// Executes one FORALL through its plan (phase E) — the tree-walk oracle's
-/// executor, composed of the same ops the VM dispatches one by one, so both
-/// modes charge the virtual clock in the same sequence. Collective.
-void execute_loop(rt::Process& p, LoopPlan& plan, core::ReuseRegistry& reg) {
-  CHAOS_CHECK(plan.build.ready(),
-              "execute_loop: plan build incomplete — a failed inspection "
-              "must be retried before executing");
-  for (i32 k = 0; k < static_cast<i32>(plan.reads_data.size()); ++k) {
-    const std::span<f64> stage = exec_pack(plan, 0, k);
-    exec_exchange(p, plan, 0, k, stage);
-    exec_unpack(p, plan, 0);
-  }
-  for (i32 k = 0; k < static_cast<i32>(plan.reads_direct.size()); ++k) {
-    const std::span<f64> stage = exec_pack(plan, 1, k);
-    exec_exchange(p, plan, 1, k, stage);
-    exec_unpack(p, plan, 1);
-  }
-  exec_compute(p, plan);
-  for (i32 k = 0; k < static_cast<i32>(plan.accs.size()); ++k) {
-    exec_fold_scatter(p, plan, k);
-  }
-  for (i32 k = 0; k < static_cast<i32>(plan.assign_loc.size()); ++k) {
-    exec_scatter_assign(p, plan, k);
-  }
-  exec_note_writes(plan, reg);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Statement dispatch: the tree-walk oracle
-// ---------------------------------------------------------------------------
-
-void Instance::run_statement(rt::Process& p, const Statement& s) {
-  State& st = *state_;
-
-  if (const auto* loop = std::get_if<DoLoop>(&s.node)) {
-    const i64 lo = resolve_size(loop->lo, st.scalars);
-    const i64 hi = resolve_size(loop->hi, st.scalars);
-    for (i64 v = lo; v <= hi; ++v) {
-      st.scalars[loop->var] = v;
-      for (const auto& inner : loop->body) run_statement(p, inner);
-    }
-    return;
-  }
-  if (const auto* f = std::get_if<Forall>(&s.node)) {
-    const ForallMeta* meta = nullptr;
-    for (const auto& fm : plan_->foralls) {
-      if (fm.loop_id == f->loop_id) {
-        meta = &fm;
-        break;
-      }
-    }
-    CHAOS_CHECK(meta != nullptr, "tree walk: FORALL missing from PlanIR");
-    const i64 lo = resolve_size(f->lo, st.scalars);
-    if (lo != 1) sema_fail("FORALL lower bound must be 1", f->line);
-    const i64 n = resolve_size(f->hi, st.scalars);
-
-    std::shared_ptr<LoopPlan> plan;
-    if (reuse_enabled_) {
-      // Assemble the guard DADs from a fresh AST scan — the tree walker's
-      // per-sweep overhead the VM's CHECK_INCARNATION replaces. (The
-      // iteration space's DAD rides along with the indirection guards.)
-      ExprScan scan;
-      std::set<std::string> all_arrays;
-      for (const auto& stmt : f->body) {
-        scan.note_index(stmt.target_index);
-        scan.scan(*stmt.value);
-        all_arrays.insert(stmt.target_array);
-      }
-      for (const auto& a : scan.read_data) all_arrays.insert(a);
-      for (const auto& a : scan.read_direct) all_arrays.insert(a);
-      std::vector<dist::Dad> data_dads;
-      for (const auto& name : all_arrays) {
-        data_dads.push_back(lookup_array(st, name, f->line).dad());
-      }
-      std::vector<dist::Dad> ind_dads;
-      for (const auto& name : scan.ind_names) {
-        ind_dads.push_back(lookup_array(st, name, f->line).dad());
-      }
-      auto build = [&] {
-        return build_plan(p, st, *meta, n, plan_opts_, phases_);
-      };
-      if (plan_opts_.repair_enabled()) {
-        plan = st.cache.get_or_build<LoopPlan>(
-            f->loop_id, st.registry, std::move(data_dads),
-            std::move(ind_dads), build,
-            [&](const std::shared_ptr<LoopPlan>& cand) {
-              return repair_plan(p, st, *meta, n, *cand, phases_);
-            });
-      } else {
-        // SPMD-uniform short-circuit: with repair off, the plain overload —
-        // no vote collectives, no fallback counting, stats bit-identical to
-        // the VM's two-way probe.
-        plan = st.cache.get_or_build<LoopPlan>(
-            f->loop_id, st.registry, std::move(data_dads),
-            std::move(ind_dads), build);
-      }
-    } else {
-      plan = build_plan(p, st, *meta, n, plan_opts_, phases_);
-    }
-
-    rt::ClockSection section(p.clock());
-    execute_loop(p, *plan, st.registry);
-    phases_.executor += section.elapsed_sec();
-    return;
-  }
-  run_directive(p, s);
-}
-
-// ---------------------------------------------------------------------------
-// Directives (shared: the VM's DIRECTIVE op and the tree walk both land here)
+// Directives (the VM's DIRECTIVE op)
 // ---------------------------------------------------------------------------
 
 void Instance::run_directive(rt::Process& p, const Statement& s) {
@@ -1354,7 +1235,7 @@ void Instance::run_vm(rt::Process& p) {
       case PlanOp::ExecBegin: {
         ForallRt& fx = st.frt[static_cast<std::size_t>(ins.a)];
         CHAOS_CHECK(fx.plan && fx.plan->build.ready(),
-                    "execute_loop: plan build incomplete — a failed "
+                    "EXEC_BEGIN: plan build incomplete — a failed "
                     "inspection must be retried before executing");
         fx.exec_section.emplace(p.clock());
         ++pc;
@@ -1425,11 +1306,7 @@ void Instance::execute(rt::Process& p) {
       throw LangError("parameter '" + name + "' is not bound by the host", 0);
     }
   }
-  if (tree_walk_) {
-    for (const auto& s : program_->statements) run_statement(p, s);
-  } else {
-    run_vm(p);
-  }
+  run_vm(p);
 }
 
 std::vector<f64> Instance::fetch_real(rt::Process& p,
@@ -1440,31 +1317,6 @@ std::vector<f64> Instance::fetch_real(rt::Process& p,
   ArrayInfo& a = lookup_array(*state_, key, 0);
   CHAOS_CHECK(a.type == ElemType::Real8, "fetch_real of INTEGER array");
   return a.real->to_global(p);
-}
-
-std::vector<i64> Instance::fetch_int(rt::Process& p,
-                                     const std::string& array) {
-  CHAOS_CHECK(state_ != nullptr, "fetch before execute");
-  std::string key = array;
-  std::transform(key.begin(), key.end(), key.begin(), ::toupper);
-  ArrayInfo& a = lookup_array(*state_, key, 0);
-  CHAOS_CHECK(a.type == ElemType::Integer, "fetch_int of REAL*8 array");
-  return a.integer->to_global(p);
-}
-
-void Instance::overwrite_int(rt::Process& p, const std::string& array,
-                             const std::vector<i64>& global_values) {
-  CHAOS_CHECK(state_ != nullptr, "overwrite before execute");
-  std::string key = array;
-  std::transform(key.begin(), key.end(), key.begin(), ::toupper);
-  ArrayInfo& a = lookup_array(*state_, key, 0);
-  CHAOS_CHECK(a.type == ElemType::Integer, "overwrite_int of REAL*8 array");
-  CHAOS_CHECK(static_cast<i64>(global_values.size()) == a.size,
-              "overwrite_int: wrong length");
-  a.integer->fill_by_global(
-      [&](i64 g) { return global_values[static_cast<std::size_t>(g)]; });
-  state_->registry.note_write(a.dad());
-  rt::barrier(p);
 }
 
 }  // namespace chaos::lang

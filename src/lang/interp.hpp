@@ -7,9 +7,8 @@
 // Execution is a dispatch loop over PlanIR bytecode (bytecode.hpp): the AST
 // is lowered once at Instance construction, and warm FORALL re-executions
 // ride a program-level plan cache keyed by (statement id, DAD incarnation
-// set) — zero AST visits, zero inspector invocations. The original
-// tree-walking interpreter is kept behind set_tree_walk(true) as a debug
-// oracle; both modes produce bit-identical modeled times and results.
+// set) — zero AST visits, zero inspector invocations. Its oracle is the
+// serial reference evaluator (reference.hpp), which shares no code with it.
 //
 // Usage (identical on every process):
 //   auto prog = lang::compile(source);
@@ -75,18 +74,12 @@ class Instance {
   /// "without schedule reuse" configuration of Table 1.
   void set_schedule_reuse(bool enabled) { reuse_enabled_ = enabled; }
 
-  /// Debug oracle: interpret the AST directly (the pre-VM tree walk, with
-  /// its per-sweep guard scan) instead of dispatching the lowered PlanIR.
-  /// Results, modeled times, and cache statistics are bit-identical to the
-  /// VM on programs that never revisit an earlier DAD incarnation set.
-  void set_tree_walk(bool enabled) { tree_walk_ = enabled; }
-
-  /// Installs the unified plan-construction options every FORALL inspector
-  /// workspace is configured with (repair policy and threshold; the
-  /// translation-cache pointer is ignored here — the VM's
-  /// per-plan caches are owned internally). SPMD discipline: identical on
-  /// every rank.
-  void set_options(const core::PlanOptions& opts) { plan_opts_ = opts; }
+  /// Installs the plan-construction options every FORALL inspector
+  /// workspace is configured with: the repair policy and threshold. Throws
+  /// ChaosError if @p opts carries a translation cache — a cache binds to one
+  /// distribution, and the FORALLs of one program localize against several.
+  /// SPMD discipline: identical on every rank.
+  void set_options(const core::PlanOptions& opts);
   [[nodiscard]] const core::PlanOptions& options() const { return plan_opts_; }
 
   // --- execution ------------------------------------------------------------
@@ -94,24 +87,15 @@ class Instance {
   /// Collective: runs the whole program.
   void execute(rt::Process& p);
 
-  /// Collective: fetches a distributed array's full global contents.
+  /// Collective: fetches a distributed REAL*8 array's full global contents.
   [[nodiscard]] std::vector<f64> fetch_real(rt::Process& p,
                                             const std::string& array);
-  [[nodiscard]] std::vector<i64> fetch_int(rt::Process& p,
-                                           const std::string& array);
-
-  /// Collective: overwrites a distributed INTEGER array in place, modelling
-  /// a host/phase boundary write (e.g. an adapted mesh). Bumps the reuse
-  /// registry exactly like a Fortran 90D statement writing the array would.
-  void overwrite_int(rt::Process& p, const std::string& array,
-                     const std::vector<i64>& global_values);
 
   // --- introspection ---------------------------------------------------------
 
   [[nodiscard]] const PhaseTimes& phases() const { return phases_; }
-  /// Hit/miss counts of the FORALL reuse guard: the plan cache (VM mode) or
-  /// the inspector cache (tree-walk mode). Safe before the first execute —
-  /// returns zeroed stats.
+  /// Hit/miss counts of the FORALL reuse guard (the plan cache). Safe before
+  /// the first execute — returns zeroed stats.
   [[nodiscard]] const core::InspectorCache::Stats& cache_stats() const;
   /// Hit/miss counts of the mapper-coupler cache (CONSTRUCT / SET reuse).
   /// Safe before the first execute — returns zeroed stats.
@@ -120,13 +104,11 @@ class Instance {
   [[nodiscard]] const core::ReuseRegistry& reuse_registry() const;
 
  private:
-  void run_statement(rt::Process& p, const Statement& s);
   void run_directive(rt::Process& p, const Statement& s);
   void run_vm(rt::Process& p);
 
   const Program* program_;
   bool reuse_enabled_ = true;
-  bool tree_walk_ = false;
   core::PlanOptions plan_opts_;
   PhaseTimes phases_;
   std::unique_ptr<const ProgramPlan> plan_;

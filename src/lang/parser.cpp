@@ -411,7 +411,7 @@ class Parser {
       s.target_index = parse_index(c, loop_var);
       expect(c, Tok::RParen, "')'");
       expect(c, Tok::Comma, "','");
-      s.value = parse_expr(c, loop_var);
+      s.value = parse_value(c, loop_var);
       expect(c, Tok::RParen, "')'");
       expect_eol(c);
       return s;
@@ -423,7 +423,7 @@ class Parser {
     s.target_index = parse_index(c, loop_var);
     expect(c, Tok::RParen, "')'");
     expect(c, Tok::Assign, "'='");
-    s.value = parse_expr(c, loop_var);
+    s.value = parse_value(c, loop_var);
     expect_eol(c);
     return s;
   }
@@ -464,63 +464,100 @@ class Parser {
     return std::nullopt;
   }
 
-  ExprPtr parse_expr(Cursor& c, const std::string& loop_var) {
-    ExprPtr lhs = parse_term(c, loop_var);
+  // Each parse_* below parses a subexpression whose root sits at @p depth
+  // (1 for a statement's value) and returns its tree height in @p height.
+  // Every subtree keeps depth + height - 1 <= kMaxExprDepth: parentheses,
+  // signs, exponents and call arguments open a level before they recurse,
+  // which also bounds the recursion, and each new operator node re-checks a
+  // growing chain.
+
+  ExprPtr parse_value(Cursor& c, const std::string& loop_var) {
+    int height = 0;
+    return parse_expr(c, loop_var, 1, height);
+  }
+
+  /// Fails at @p t if a node at @p depth of @p height crosses the limit.
+  void check_depth(int depth, int height, const Token& t) const {
+    if (depth + height - 1 > kMaxExprDepth) {
+      fail("expression nested deeper than " + std::to_string(kMaxExprDepth) +
+               " levels",
+           t);
+    }
+  }
+
+  static ExprPtr binary(BinOp op, ExprPtr lhs, ExprPtr rhs) {
+    auto e = std::make_unique<Expr>();
+    e->line = lhs->line;
+    e->column = lhs->column;
+    e->node = Expr::Binary{op, std::move(lhs), std::move(rhs)};
+    return e;
+  }
+
+  ExprPtr parse_expr(Cursor& c, const std::string& loop_var, int depth,
+                     int& height) {
+    ExprPtr lhs = parse_term(c, loop_var, depth, height);
     while (c.peek().kind == Tok::Plus || c.peek().kind == Tok::Minus) {
-      const BinOp op = c.next().kind == Tok::Plus ? BinOp::Add : BinOp::Sub;
-      ExprPtr rhs = parse_term(c, loop_var);
-      auto e = std::make_unique<Expr>();
-      e->line = lhs->line;
-      e->column = lhs->column;
-      e->node = Expr::Binary{op, std::move(lhs), std::move(rhs)};
-      lhs = std::move(e);
+      const Token op = c.next();
+      int rhs_height = 0;
+      ExprPtr rhs = parse_term(c, loop_var, depth, rhs_height);
+      height = 1 + std::max(height, rhs_height);
+      check_depth(depth, height, op);
+      lhs = binary(op.kind == Tok::Plus ? BinOp::Add : BinOp::Sub,
+                   std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
-  ExprPtr parse_term(Cursor& c, const std::string& loop_var) {
-    ExprPtr lhs = parse_factor(c, loop_var);
+  ExprPtr parse_term(Cursor& c, const std::string& loop_var, int depth,
+                     int& height) {
+    ExprPtr lhs = parse_factor(c, loop_var, depth, height);
     while (c.peek().kind == Tok::Star || c.peek().kind == Tok::Slash) {
-      const BinOp op = c.next().kind == Tok::Star ? BinOp::Mul : BinOp::Div;
-      ExprPtr rhs = parse_factor(c, loop_var);
-      auto e = std::make_unique<Expr>();
-      e->line = lhs->line;
-      e->column = lhs->column;
-      e->node = Expr::Binary{op, std::move(lhs), std::move(rhs)};
-      lhs = std::move(e);
+      const Token op = c.next();
+      int rhs_height = 0;
+      ExprPtr rhs = parse_factor(c, loop_var, depth, rhs_height);
+      height = 1 + std::max(height, rhs_height);
+      check_depth(depth, height, op);
+      lhs = binary(op.kind == Tok::Star ? BinOp::Mul : BinOp::Div,
+                   std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
-  ExprPtr parse_factor(Cursor& c, const std::string& loop_var) {
+  ExprPtr parse_factor(Cursor& c, const std::string& loop_var, int depth,
+                       int& height) {
     if (c.peek().kind == Tok::Minus || c.peek().kind == Tok::Plus) {
-      const bool negate = c.next().kind == Tok::Minus;
-      ExprPtr operand = parse_factor(c, loop_var);
-      if (!negate) return operand;
+      const Token sign = c.next();
+      check_depth(depth + 1, 1, sign);
+      ExprPtr operand = parse_factor(c, loop_var, depth + 1, height);
+      if (sign.kind == Tok::Plus) return operand;
+      ++height;
       auto e = std::make_unique<Expr>();
       e->line = operand->line;
       e->column = operand->column;
       e->node = Expr::Unary{true, std::move(operand)};
       return e;
     }
-    ExprPtr base = parse_primary(c, loop_var);
+    ExprPtr base = parse_primary(c, loop_var, depth, height);
     if (c.peek().kind == Tok::Power) {
-      c.next();
-      ExprPtr exponent = parse_factor(c, loop_var);  // right associative
-      auto e = std::make_unique<Expr>();
-      e->line = base->line;
-      e->column = base->column;
-      e->node = Expr::Binary{BinOp::Pow, std::move(base), std::move(exponent)};
-      return e;
+      const Token op = c.next();
+      check_depth(depth + 1, 1, op);
+      int exp_height = 0;
+      ExprPtr exponent =  // right associative
+          parse_factor(c, loop_var, depth + 1, exp_height);
+      height = 1 + std::max(height, exp_height);
+      check_depth(depth, height, op);
+      return binary(BinOp::Pow, std::move(base), std::move(exponent));
     }
     return base;
   }
 
-  ExprPtr parse_primary(Cursor& c, const std::string& loop_var) {
+  ExprPtr parse_primary(Cursor& c, const std::string& loop_var, int depth,
+                        int& height) {
     const Token t = c.peek();
     auto e = std::make_unique<Expr>();
     e->line = t.line;
     e->column = t.column;
+    height = 1;
     if (t.kind == Tok::Number) {
       c.next();
       e->node = Expr::Num{t.number};
@@ -528,7 +565,8 @@ class Parser {
     }
     if (t.kind == Tok::LParen) {
       c.next();
-      ExprPtr inner = parse_expr(c, loop_var);
+      check_depth(depth + 1, 1, t);
+      ExprPtr inner = parse_expr(c, loop_var, depth + 1, height);
       expect(c, Tok::RParen, "')'");
       return inner;
     }
@@ -550,13 +588,16 @@ class Parser {
     }
     // name(...): intrinsic call or array reference.
     if (auto fn = intrinsic_of(t.text)) {
-      c.next();  // '('
+      const Token open = c.next();  // '('
+      check_depth(depth + 1, 1, open);
       Expr::Call call;
       call.fn = *fn;
-      call.args.push_back(parse_expr(c, loop_var));
-      while (c.peek().kind == Tok::Comma) {
+      while (true) {
+        int arg_height = 0;
+        call.args.push_back(parse_expr(c, loop_var, depth + 1, arg_height));
+        height = std::max(height, 1 + arg_height);
+        if (c.peek().kind != Tok::Comma) break;
         c.next();
-        call.args.push_back(parse_expr(c, loop_var));
       }
       expect(c, Tok::RParen, "')'");
       const std::size_t want =

@@ -36,13 +36,23 @@ struct Token {
 class LangError : public ChaosError {
  public:
   LangError(const std::string& msg, int line, int column = 0)
-      : ChaosError("line " + std::to_string(line) +
-                   (column > 0 ? ":" + std::to_string(column) : "") + ": " +
-                   msg),
-        line_(line) {}
+      : ChaosError(where(line, column) + msg), line_(line) {}
   [[nodiscard]] int line() const { return line_; }
 
  private:
+  /// "line L: " or "line L:C: ", built by appending: GCC 12 reports a false
+  /// -Wrestrict for a string literal + std::string temporary.
+  static std::string where(int line, int column) {
+    std::string s = "line ";
+    s += std::to_string(line);
+    if (column > 0) {
+      s += ':';
+      s += std::to_string(column);
+    }
+    s += ": ";
+    return s;
+  }
+
   int line_;
 };
 

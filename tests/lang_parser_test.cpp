@@ -2,7 +2,9 @@
 // malformed inputs, and faithful AST shapes for the paper's figures.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <variant>
+#include <vector>
 
 #include "lang/parser.hpp"
 #include "lang/token.hpp"
@@ -225,4 +227,53 @@ TEST(Parser, ErrorsRenderLineAndColumn) {
     EXPECT_EQ(msg.rfind("line 3:", 0), 0u) << msg;
     EXPECT_NE(msg.find(": "), std::string::npos) << msg;
   }
+}
+
+TEST(Parser, ExpressionDepthIsCappedAtTheVmStack) {
+  // The VM evaluates a FORALL body on a kMaxExprDepth-slot stack, and a tree
+  // never needs more slots than its height. Each shape below crosses that
+  // height; each must end in a LangError at the token that crosses it, not
+  // in a parser stack overflow or an untyped check at execute.
+  ASSERT_EQ(lang::kMaxExprDepth, 64);
+  const auto repeat = [](const std::string& s, int k) {
+    std::string out;
+    for (int j = 0; j < k; ++j) out += s;
+    return out;
+  };
+  // The value starts at column 16 of line 2.
+  const auto forall = [](const std::string& value) {
+    return "      FORALL i = 1, n\n        y(i) = " + value +
+           "\n      END FORALL\n";
+  };
+  struct Shape {
+    std::string value;
+    int column;  // of the token that crosses the limit
+  };
+  const std::vector<Shape> shapes = {
+      // 64th '(' opens level 65.
+      {repeat("(", 30000) + "x(i)" + repeat(")", 30000), 15 + 64},
+      // 64th unary '-'.
+      {repeat("-", 30000) + "x(i)", 15 + 64},
+      // '(' of the 64th sqrt.
+      {repeat("sqrt(", 30000) + "x(i)" + repeat(")", 30000), 16 + 5 * 63 + 4},
+      // 64th '+' makes a left-deep chain of height 65.
+      {"x(i)" + repeat(" + x(i)", 199999), 21 + 7 * 63},
+      // 64th '(' of a right-nested sum.
+      {repeat("x(i) + (", 64) + "x(i)" + repeat(")", 64), 23 + 8 * 63},
+  };
+  for (const auto& shape : shapes) {
+    try {
+      (void)lang::compile(forall(shape.value));
+      ADD_FAILURE() << "expected LangError for " << shape.value.substr(0, 40);
+    } catch (const lang::LangError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "line 2:" + std::to_string(shape.column) +
+                    ": expression nested deeper than 64 levels");
+    }
+  }
+  // The limit itself is accepted: 64 terms, and a right-nested sum whose
+  // stack need is exactly 64.
+  EXPECT_NO_THROW((void)lang::compile(forall("x(i)" + repeat(" + x(i)", 63))));
+  EXPECT_NO_THROW((void)lang::compile(
+      forall(repeat("x(i) + (", 63) + "x(i)" + repeat(")", 63))));
 }
