@@ -16,9 +16,31 @@ namespace chaos::lang {
 
 namespace {
 
-[[noreturn]] void sema_fail(const std::string& msg, int line) {
-  throw LangError(msg, line);
+/// Fails at @p at's source position: any AST or metadata node that records
+/// a line and a column.
+template <typename Node>
+[[noreturn]] void sema_fail(const std::string& msg, const Node& at) {
+  throw LangError(msg, at.line, at.column);
 }
+
+/// The position of a host call, which has none ("line 0").
+struct HostCall {
+  int line = 0;
+  int column = 0;
+};
+
+/// Host-supplied names match the lexer's upper-case spelling. The cast keeps
+/// bytes >= 0x80 out of toupper's undefined (negative) range.
+std::string upper(std::string name) {
+  for (char& c : name) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  return name;
+}
+
+/// Iterations per COMPUTE block: every stack instruction runs as one loop
+/// over this many contiguous values.
+constexpr i64 kBlock = 256;
 
 }  // namespace
 
@@ -53,26 +75,24 @@ struct DecompInfo {
   std::vector<std::string> aligned;
 };
 
-/// Resolved runtime operand for the bytecode evaluator: set up once per
-/// executor invocation, read per iteration.
+/// Resolved runtime operand for the block evaluator: set up once per
+/// executor invocation, gathered once per block.
 struct RuntimeOperand {
-  const i64* refs = nullptr;    // localized index per local iteration
-  const f64* local = nullptr;   // owned segment of the array
-  i64 nlocal = 0;
-  const f64* ghost = nullptr;   // gathered off-process copies
+  const i64* refs = nullptr;  // localized index per local iteration
+  const f64* view = nullptr;  // the read array's [owned | ghost] view
 };
 
 /// Per-statement write routing, resolved against current storage at the top
 /// of every COMPUTE (array storage can move between sweeps, the plan's
 /// symbolic routing cannot).
 struct WriteSlot {
-  int refs_group = 0;  ///< 0: data_loc batch, 1: direct_loc, 2: own assign
   const std::vector<StackInstr>* code = nullptr;
-  const i64* refs = nullptr;  // target localized indices
-  f64* local = nullptr;       // assign: target local segment
-  f64* staging = nullptr;     // assign: ghost staging / reduce: accumulator
-  i64 nlocal = -1;            // assign boundary (-1 for reduces)
-  core::ReduceOp rop = core::ReduceOp::Add;
+  const i64* refs = nullptr;   // target localized indices
+  f64* local = nullptr;        // assign: target local segment
+  f64* staging = nullptr;      // assign: ghost staging / reduce: accumulator
+  i64 nlocal = -1;             // assign boundary (-1 for reduces)
+  core::ReduceOp rop = core::ReduceOp::Replace;  // Replace: assignment
+  const f64* value = nullptr;  // the statement's values for the current block
 };
 
 /// Inspector product of one FORALL (cached under the Section 3 guard), built
@@ -108,8 +128,12 @@ struct LoopPlan {
   bool has_direct = false;
   core::Localized direct_loc;  ///< batch = iter_ids against iter_space
 
-  /// How each statement's target is addressed.
+  /// How each statement's target is addressed, ordered by write run. A run
+  /// is the statements that write one storage, one accumulator or one
+  /// assigned array, in source order; runs write disjoint storage.
   struct WriteInfo {
+    int stmt = 0;     ///< index into the FORALL body
+    int run_end = 0;  ///< on a run's first write: one past its last write
     LoopReduceOp op = LoopReduceOp::Assign;
     ArrayInfo* target = nullptr;
     int refs_group = 0;    ///< 0: data_loc batch, 1: direct_loc, 2: own assign
@@ -117,7 +141,7 @@ struct LoopPlan {
     int assign_slot = -1;  ///< index into assign_loc (group 2)
     int acc_slot = -1;     ///< accumulator (reduce ops)
   };
-  std::vector<WriteInfo> writes;            ///< parallel to the FORALL body
+  std::vector<WriteInfo> writes;
   std::vector<core::Localized> assign_loc;  ///< private schedules for assigns
   std::vector<ArrayInfo*> assign_targets;   ///< parallel to assign_loc
 
@@ -133,7 +157,7 @@ struct LoopPlan {
     int group = 0;  ///< 0: data_loc batch, 1: direct_loc
     int batch = -1;
     const ArrayInfo* array = nullptr;
-    int ghost_slot = -1;  ///< index into ghost_data / ghost_direct
+    int ghost_slot = -1;  ///< index into reads_data / reads_direct
   };
   std::vector<OperandRt> operands;
   /// Scalar slots bound to std::map node storage (address-stable), in the
@@ -142,9 +166,11 @@ struct LoopPlan {
 
   std::vector<ArrayInfo*> reads_data;    ///< gathered via data_loc
   std::vector<ArrayInfo*> reads_direct;  ///< gathered via direct_loc
-  /// Ghost scratch per read array (index-aligned with reads_*).
-  std::vector<std::vector<f64>> ghost_data;
-  std::vector<std::vector<f64>> ghost_direct;
+  /// Index of a read's view in ExecScratch::views: data reads, then direct.
+  [[nodiscard]] std::size_t view_index(int group, int slot) const {
+    const auto k = static_cast<std::size_t>(slot);
+    return group == 0 ? k : reads_data.size() + k;
+  }
   /// Executor staging shared by every gather/scatter through this plan
   /// (staging() re-slices per schedule), plus reusable accumulator scratch —
   /// all sized on the first sweep so later sweeps allocate nothing.
@@ -156,13 +182,24 @@ struct LoopPlan {
   /// Plan-owned per-sweep scratch: resize() keeps capacity, so every sweep
   /// after the first resolves its slots with zero heap allocations.
   std::vector<RuntimeOperand> runtime_ops;
-  std::vector<WriteSlot> write_slots;
+  std::vector<WriteSlot> write_slots;  ///< parallel to writes
 
   i64 expr_flops_per_iter = 0;
   i64 mem_refs_per_iter = 0;
   /// Build validity stamp: a failed (thrown-through) plan build leaves the
   /// plan not ready and EXEC_BEGIN refuses it (DESIGN.md §11).
   core::PlanBuildState build;
+};
+
+/// Executor scratch of the running FORALL. A FORALL's PACK..COMPUTE ops run
+/// back to back and COMPUTE is not reentrant, so one set serves every plan:
+/// once grown, neither a warm sweep nor a fresh plan (reuse off) allocates.
+struct ExecScratch {
+  /// Localized view per read, laid out [owned | ghost] so a localized
+  /// reference indexes it directly: EXCHANGE fills the ghost tail, COMPUTE
+  /// refreshes the owned head. Only grows, so inner buffers keep capacity.
+  std::vector<std::vector<f64>> views;
+  std::vector<f64> columns;  ///< COMPUTE's operand, result and stack columns
 };
 
 /// Per-FORALL VM register file: the live plan between CHECK_INCARNATION and
@@ -193,6 +230,7 @@ struct Instance::State {
   /// one guard check instead of a graph assembly and a repartition.
   core::InspectorCache mapper_cache;
   std::map<std::string, std::vector<dist::Dad>> geocol_sources;
+  ExecScratch scratch;
 };
 
 namespace {
@@ -215,23 +253,17 @@ Instance::Instance(const Program& program)
 Instance::~Instance() = default;
 
 void Instance::set_param(const std::string& name, i64 value) {
-  std::string key = name;
-  std::transform(key.begin(), key.end(), key.begin(), ::toupper);
-  host_params_[key] = value;
+  host_params_[upper(name)] = value;
 }
 
 void Instance::bind_real(const std::string& array,
                          std::vector<f64> global_values) {
-  std::string key = array;
-  std::transform(key.begin(), key.end(), key.begin(), ::toupper);
-  real_bindings_[key] = std::move(global_values);
+  real_bindings_[upper(array)] = std::move(global_values);
 }
 
 void Instance::bind_int(const std::string& array,
                         std::vector<i64> global_values) {
-  std::string key = array;
-  std::transform(key.begin(), key.end(), key.begin(), ::toupper);
-  int_bindings_[key] = std::move(global_values);
+  int_bindings_[upper(array)] = std::move(global_values);
 }
 
 void Instance::set_options(const core::PlanOptions& opts) {
@@ -269,19 +301,20 @@ i64 resolve_size(const SizeExpr& s, const std::map<std::string, i64>& scalars) {
   if (it == scalars.end()) {
     sema_fail("unbound parameter '" + s.param +
                   "' (host must call set_param)",
-              s.line);
+              s);
   }
   return it->second;
 }
 
+template <typename Node>
 ArrayInfo& lookup_array(Instance::State& st, const std::string& name,
-                        int line) {
+                        const Node& at) {
   const auto it = st.arrays.find(name);
-  if (it == st.arrays.end()) sema_fail("unknown array '" + name + "'", line);
+  if (it == st.arrays.end()) sema_fail("unknown array '" + name + "'", at);
   if (!it->second.materialized()) {
     sema_fail("array '" + name +
                   "' is not materialized (missing ALIGN or DISTRIBUTE)",
-              line);
+              at);
   }
   return it->second;
 }
@@ -300,7 +333,7 @@ void plan_partition(rt::Process& p, Instance::State& st, const ForallMeta& m,
     sema_fail("array '" + m.conflict_array +
                   "' is both read and written in one FORALL; only "
                   "left-hand-side reductions may carry dependences",
-              m.line);
+              m);
   }
   plan.expr_flops_per_iter = m.expr_flops_per_iter;
   plan.mem_refs_per_iter = m.mem_refs_per_iter;
@@ -308,52 +341,52 @@ void plan_partition(rt::Process& p, Instance::State& st, const ForallMeta& m,
   // ---- classify arrays, find the two anchor distributions -------------------
   // Indirection arrays: INTEGER, aligned with the iteration space.
   for (const auto& name : m.ind_names) {
-    ArrayInfo& a = lookup_array(st, name, m.line);
+    ArrayInfo& a = lookup_array(st, name, m);
     if (a.type != ElemType::Integer) {
-      sema_fail("indirection array '" + name + "' must be INTEGER", m.line);
+      sema_fail("indirection array '" + name + "' must be INTEGER", m);
     }
     if (!plan.iter_space) {
       plan.iter_space = a.dist_ptr();
     } else if (!(plan.iter_space->dad() == a.dad())) {
       sema_fail("indirection arrays of one FORALL must share a distribution",
-                m.line);
+                m);
     }
   }
   // Data arrays (via indirection): REAL*8, one common distribution.
   for (const auto& name : m.data_arrays) {
-    ArrayInfo& a = lookup_array(st, name, m.line);
+    ArrayInfo& a = lookup_array(st, name, m);
     if (a.type != ElemType::Real8) {
-      sema_fail("data array '" + name + "' must be REAL*8", m.line);
+      sema_fail("data array '" + name + "' must be REAL*8", m);
     }
     if (!plan.data_dist) {
       plan.data_dist = a.dist_ptr();
     } else if (!(plan.data_dist->dad() == a.dad())) {
       sema_fail("data arrays of one FORALL must be aligned to one "
                 "distribution",
-                m.line);
+                m);
     }
   }
   for (const auto& name : m.direct_arrays) {
-    ArrayInfo& a = lookup_array(st, name, m.line);
+    ArrayInfo& a = lookup_array(st, name, m);
     if (a.type != ElemType::Real8) {
-      sema_fail("data array '" + name + "' must be REAL*8", m.line);
+      sema_fail("data array '" + name + "' must be REAL*8", m);
     }
     if (!plan.iter_space) {
       plan.iter_space = a.dist_ptr();
     } else if (!(plan.iter_space->dad() == a.dad())) {
       sema_fail("directly indexed arrays must be aligned with the "
                 "iteration space",
-                m.line);
+                m);
     }
   }
   if (!plan.iter_space) {
-    sema_fail("FORALL body references no distributed arrays", m.line);
+    sema_fail("FORALL body references no distributed arrays", m);
   }
   if (plan.iter_space->size() != n) {
     sema_fail("FORALL bound does not match the iteration-space extent (" +
                   std::to_string(plan.iter_space->size()) + " vs " +
                   std::to_string(n) + ")",
-              m.line);
+              m);
   }
 
   // ---- phase B/C: iteration partition + indirection remap (remap time) -----
@@ -369,7 +402,7 @@ void plan_partition(rt::Process& p, Instance::State& st, const ForallMeta& m,
           sema_fail("indirection array '" + name + "' holds index " +
                         std::to_string(v) + " outside 1.." +
                         std::to_string(plan.data_dist->size()),
-                    m.line);
+                    m);
         }
         v -= 1;  // Fortran subscripts are 1-based
       }
@@ -422,8 +455,6 @@ void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
   for (const auto& name : m.read_direct) {
     plan.reads_direct.push_back(&st.arrays.at(name));
   }
-  plan.ghost_data.resize(plan.reads_data.size());
-  plan.ghost_direct.resize(plan.reads_direct.size());
 
   // Scalar slots, in the meta's first-occurrence order, so the unbound
   // scalar reported is the first one in source order. std::map nodes are
@@ -432,7 +463,7 @@ void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
   for (const auto& sym : m.scalars) {
     const auto it = st.scalars.find(sym.name);
     if (it == st.scalars.end()) {
-      sema_fail("unbound scalar '" + sym.name + "'", sym.line);
+      sema_fail("unbound scalar '" + sym.name + "'", sym);
     }
     plan.scalar_ptrs.push_back(&it->second);
   }
@@ -455,6 +486,7 @@ void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
   for (std::size_t si = 0; si < m.body.size(); ++si) {
     const auto& stmt = m.body[si];
     LoopPlan::WriteInfo w;
+    w.stmt = static_cast<int>(si);
     w.op = stmt.op;
     w.target = &st.arrays.at(stmt.target);
     const bool direct = stmt.direct;
@@ -494,11 +526,33 @@ void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
       } else if (plan.accs[static_cast<std::size_t>(it->second)].op != rop) {
         sema_fail("mixed reduction operators on array '" + stmt.target +
                       "' in one FORALL",
-                  stmt.line);
+                  stmt);
       }
       w.acc_slot = it->second;
     }
     plan.writes.push_back(std::move(w));
+  }
+  // Group the writes into runs in place; rotating a later member down to
+  // the end of its run keeps source order within every run.
+  const auto same_storage = [](const LoopPlan::WriteInfo& a,
+                               const LoopPlan::WriteInfo& b) {
+    return a.op == LoopReduceOp::Assign
+               ? b.op == LoopReduceOp::Assign && a.target == b.target
+               : b.op != LoopReduceOp::Assign && a.acc_slot == b.acc_slot;
+  };
+  auto& writes = plan.writes;
+  for (std::size_t head = 0; head < writes.size();) {
+    std::size_t end = head + 1;
+    for (std::size_t j = end; j < writes.size(); ++j) {
+      if (same_storage(writes[head], writes[j])) {
+        std::rotate(writes.begin() + static_cast<std::ptrdiff_t>(end),
+                    writes.begin() + static_cast<std::ptrdiff_t>(j),
+                    writes.begin() + static_cast<std::ptrdiff_t>(j + 1));
+        ++end;
+      }
+    }
+    writes[head].run_end = static_cast<int>(end);
+    head = end;
   }
   for (const auto& name : m.written) {
     plan.written_targets.push_back(&st.arrays.at(name));
@@ -552,7 +606,7 @@ bool repair_plan(rt::Process& p, Instance::State& st, const ForallMeta& m,
                         "' holds index " + std::to_string(v) +
                         " outside 1.." +
                         std::to_string(plan.data_dist->size()),
-                    m.line);
+                    m);
         }
         plan.slice_scratch[i] = v - 1;
       }
@@ -610,84 +664,144 @@ bool repair_plan(rt::Process& p, Instance::State& st, const ForallMeta& m,
 // FORALL: execution ops
 // ---------------------------------------------------------------------------
 
-/// Runs one statement's bytecode for local iteration @p l.
-f64 eval_code(const std::vector<StackInstr>& code,
-              const std::vector<RuntimeOperand>& ops,
-              const std::vector<const i64*>& scalars, i64 l, f64 iter_value,
-              f64* stack) {
+/// Runs one statement's bytecode over a block of @p len local iterations on
+/// a stack of columns and returns its result column. Stack position 0 is
+/// @p result, position i > 0 is column i - 1 of @p scratch. Load pushes the
+/// operand's gathered column without copying it, so a position holds either
+/// an operand column or its own column: an op writing position i never
+/// overwrites an input at position i + 1.
+const f64* eval_block(const std::vector<StackInstr>& code,
+                      const f64* operand_cols,
+                      const std::vector<const i64*>& scalars,
+                      const i64* iter_ids, i64 len, f64* result,
+                      f64* scratch) {
+  const f64* stack[kMaxExprDepth];
   int sp = 0;
+  const auto column = [&](int pos) {
+    return pos == 0 ? result : scratch + (pos - 1) * kBlock;
+  };
+  const auto fill = [&](f64 v) {
+    f64* d = column(sp);
+    std::fill_n(d, len, v);
+    stack[sp++] = d;
+  };
+  const auto unary = [&](auto f) {
+    f64* d = column(sp - 1);
+    const f64* a = stack[sp - 1];
+    for (i64 j = 0; j < len; ++j) d[j] = f(a[j]);
+    stack[sp - 1] = d;
+  };
+  const auto binary = [&](auto f) {
+    --sp;
+    f64* d = column(sp - 1);
+    const f64* a = stack[sp - 1];
+    const f64* b = stack[sp];
+    for (i64 j = 0; j < len; ++j) d[j] = f(a[j], b[j]);
+    stack[sp - 1] = d;
+  };
   for (const auto& ins : code) {
     switch (ins.op) {
-      case StackOp::Imm: stack[sp++] = ins.imm; break;
+      case StackOp::Imm: fill(ins.imm); break;
       case StackOp::Scalar:
-        stack[sp++] =
-            static_cast<f64>(*scalars[static_cast<std::size_t>(ins.slot)]);
+        fill(static_cast<f64>(*scalars[static_cast<std::size_t>(ins.slot)]));
         break;
-      case StackOp::IterVal: stack[sp++] = iter_value; break;
-      case StackOp::Load: {
-        const RuntimeOperand& o = ops[static_cast<std::size_t>(ins.slot)];
-        const i64 idx = o.refs[l];
-        stack[sp++] = idx < o.nlocal
-                          ? o.local[idx]
-                          : o.ghost[idx - o.nlocal];
+      case StackOp::IterVal: {
+        f64* d = column(sp);
+        for (i64 j = 0; j < len; ++j) d[j] = static_cast<f64>(iter_ids[j] + 1);
+        stack[sp++] = d;
         break;
       }
-      case StackOp::Neg: stack[sp - 1] = -stack[sp - 1]; break;
-      case StackOp::Add: --sp; stack[sp - 1] += stack[sp]; break;
-      case StackOp::Sub: --sp; stack[sp - 1] -= stack[sp]; break;
-      case StackOp::Mul: --sp; stack[sp - 1] *= stack[sp]; break;
-      case StackOp::Div: --sp; stack[sp - 1] /= stack[sp]; break;
+      case StackOp::Load: stack[sp++] = operand_cols + ins.slot * kBlock; break;
+      case StackOp::Neg: unary([](f64 a) { return -a; }); break;
+      case StackOp::Add: binary([](f64 a, f64 b) { return a + b; }); break;
+      case StackOp::Sub: binary([](f64 a, f64 b) { return a - b; }); break;
+      case StackOp::Mul: binary([](f64 a, f64 b) { return a * b; }); break;
+      case StackOp::Div: binary([](f64 a, f64 b) { return a / b; }); break;
       case StackOp::Pow:
-        --sp;
-        stack[sp - 1] = std::pow(stack[sp - 1], stack[sp]);
+        binary([](f64 a, f64 b) { return std::pow(a, b); });
         break;
-      case StackOp::Sqrt: stack[sp - 1] = std::sqrt(stack[sp - 1]); break;
-      case StackOp::Abs: stack[sp - 1] = std::abs(stack[sp - 1]); break;
-      case StackOp::Sin: stack[sp - 1] = std::sin(stack[sp - 1]); break;
-      case StackOp::Cos: stack[sp - 1] = std::cos(stack[sp - 1]); break;
-      case StackOp::Exp: stack[sp - 1] = std::exp(stack[sp - 1]); break;
+      case StackOp::Sqrt: unary([](f64 a) { return std::sqrt(a); }); break;
+      case StackOp::Abs: unary([](f64 a) { return std::abs(a); }); break;
+      case StackOp::Sin: unary([](f64 a) { return std::sin(a); }); break;
+      case StackOp::Cos: unary([](f64 a) { return std::cos(a); }); break;
+      case StackOp::Exp: unary([](f64 a) { return std::exp(a); }); break;
       case StackOp::Min2:
-        --sp;
-        stack[sp - 1] = std::min(stack[sp - 1], stack[sp]);
+        binary([](f64 a, f64 b) { return std::min(a, b); });
         break;
       case StackOp::Max2:
-        --sp;
-        stack[sp - 1] = std::max(stack[sp - 1], stack[sp]);
+        binary([](f64 a, f64 b) { return std::max(a, b); });
         break;
       case StackOp::Mod2:
-        --sp;
-        stack[sp - 1] = std::fmod(stack[sp - 1], stack[sp]);
+        binary([](f64 a, f64 b) { return std::fmod(a, b); });
         break;
     }
   }
   return stack[0];
 }
 
-/// PACK: sizes the read array's ghost buffer and copies requested owned
-/// elements into the plan's staging buffer. Returns the staged span for the
-/// EXCHANGE that must follow.
-std::span<f64> exec_pack(LoopPlan& plan, i32 group, i32 k) {
-  ArrayInfo* a = group == 0 ? plan.reads_data[static_cast<std::size_t>(k)]
-                            : plan.reads_direct[static_cast<std::size_t>(k)];
-  std::vector<f64>& ghost = group == 0
-                                ? plan.ghost_data[static_cast<std::size_t>(k)]
-                                : plan.ghost_direct[static_cast<std::size_t>(k)];
-  const core::CommSchedule& sched =
-      group == 0 ? plan.data_loc.schedule : plan.direct_loc.schedule;
-  ghost.resize(static_cast<std::size_t>(sched.nghost));
-  return core::gather_pack<f64>(sched, a->real->local(),
-                                std::span<f64>(ghost), plan.ws);
+/// Writes one run's values for the block at @p l0 in (iteration, statement)
+/// order. @p Op is the run's reduction; Replace assigns, into the target's
+/// local segment or its ghost staging.
+template <core::ReduceOp Op>
+void write_run(const WriteSlot* first, const WriteSlot* last, i64 l0,
+               i64 len) {
+  for (i64 j = 0; j < len; ++j) {
+    for (const WriteSlot* s = first; s != last; ++s) {
+      const f64 v = s->value[j];
+      const i64 ref = s->refs[l0 + j];
+      if constexpr (Op == core::ReduceOp::Replace) {
+        if (ref < s->nlocal) {
+          s->local[ref] = v;
+        } else {
+          s->staging[ref - s->nlocal] = v;
+        }
+      } else {
+        s->staging[ref] = core::apply_reduce(Op, s->staging[ref], v);
+      }
+    }
+  }
 }
 
-/// EXCHANGE: the collective all-to-all into the ghost buffer.
-void exec_exchange(rt::Process& p, LoopPlan& plan, i32 group, i32 k,
-                   std::span<const f64> stage) {
-  std::vector<f64>& ghost = group == 0
-                                ? plan.ghost_data[static_cast<std::size_t>(k)]
-                                : plan.ghost_direct[static_cast<std::size_t>(k)];
-  const core::CommSchedule& sched =
-      group == 0 ? plan.data_loc.schedule : plan.direct_loc.schedule;
-  core::gather_exchange<f64>(p, sched, stage, std::span<f64>(ghost));
+/// One gathered read: the array, its [owned | ghost] view and the schedule
+/// that fills the view's ghost tail.
+struct ReadSlot {
+  ArrayInfo* array = nullptr;
+  std::vector<f64>* view = nullptr;
+  const core::CommSchedule* sched = nullptr;
+
+  /// Exactly the schedule's nghost elements, the size the gather checks.
+  [[nodiscard]] std::span<f64> ghost_tail() const {
+    return std::span<f64>(*view).subspan(
+        static_cast<std::size_t>(sched->nlocal_at_build));
+  }
+};
+
+ReadSlot read_slot(LoopPlan& plan, ExecScratch& scratch, i32 group, i32 k) {
+  const std::size_t nreads = plan.reads_data.size() + plan.reads_direct.size();
+  if (scratch.views.size() < nreads) scratch.views.resize(nreads);
+  std::vector<f64>* view = &scratch.views[plan.view_index(group, k)];
+  const auto i = static_cast<std::size_t>(k);
+  if (group == 0) return {plan.reads_data[i], view, &plan.data_loc.schedule};
+  return {plan.reads_direct[i], view, &plan.direct_loc.schedule};
+}
+
+/// PACK: sizes the read array's view and copies requested owned elements
+/// into the plan's staging buffer. Returns the staged span for the EXCHANGE
+/// that must follow.
+std::span<f64> exec_pack(LoopPlan& plan, ExecScratch& scratch, i32 group,
+                         i32 k) {
+  const ReadSlot r = read_slot(plan, scratch, group, k);
+  r.view->resize(
+      static_cast<std::size_t>(r.sched->nlocal_at_build + r.sched->nghost));
+  return core::gather_pack<f64>(*r.sched, r.array->real->local(),
+                                r.ghost_tail(), plan.ws);
+}
+
+/// EXCHANGE: the collective all-to-all into the view's ghost tail.
+void exec_exchange(rt::Process& p, LoopPlan& plan, ExecScratch& scratch,
+                   i32 group, i32 k, std::span<const f64> stage) {
+  const ReadSlot r = read_slot(plan, scratch, group, k);
+  core::gather_exchange<f64>(p, *r.sched, stage, r.ghost_tail());
 }
 
 /// UNPACK: the gather's modeled memory charge.
@@ -698,8 +812,8 @@ void exec_unpack(rt::Process& p, LoopPlan& plan, i32 group) {
 }
 
 /// COMPUTE: resolves operand and write slots against current storage, runs
-/// the sweep, and charges the modeled per-iteration cost.
-void exec_compute(rt::Process& p, LoopPlan& plan) {
+/// the sweep block by block, and charges the modeled per-iteration cost.
+void exec_compute(rt::Process& p, LoopPlan& plan, ExecScratch& scratch) {
   const ForallMeta& m = *plan.meta;
 
   // Reduction accumulators: [0, nlocal + nghost) of the group's schedule.
@@ -721,32 +835,38 @@ void exec_compute(rt::Process& p, LoopPlan& plan) {
         static_cast<std::size_t>(plan.assign_loc[k].schedule.nghost), 0.0);
   }
 
+  // The gathers filled each view's ghost tail; refresh its owned head (the
+  // PACKs above checked that the local segment still has the schedule's
+  // size and sized the views).
+  const auto refresh = [&](int group, const std::vector<ArrayInfo*>& reads) {
+    for (std::size_t k = 0; k < reads.size(); ++k) {
+      const auto local = reads[k]->real->local();
+      std::copy(local.begin(), local.end(),
+                scratch.views[plan.view_index(group, static_cast<int>(k))]
+                    .begin());
+    }
+  };
+  refresh(0, plan.reads_data);
+  refresh(1, plan.reads_direct);
+
   // Resolve operand slots against current storage (pointers may move after
-  // a redistribute, but that invalidates the plan anyway; the PACKs above
-  // have already sized the ghost vectors).
+  // a redistribute, but that invalidates the plan anyway).
   plan.runtime_ops.resize(plan.operands.size());
   for (std::size_t k = 0; k < plan.operands.size(); ++k) {
     const auto& spec = plan.operands[k];
     RuntimeOperand& o = plan.runtime_ops[k];
-    if (spec.group == 0) {
-      o.refs = plan.data_loc.refs[static_cast<std::size_t>(spec.batch)].data();
-      o.ghost =
-          plan.ghost_data[static_cast<std::size_t>(spec.ghost_slot)].data();
-    } else {
-      o.refs = plan.direct_loc.refs.data();
-      o.ghost =
-          plan.ghost_direct[static_cast<std::size_t>(spec.ghost_slot)].data();
-    }
-    o.local = spec.array->real->local().data();
-    o.nlocal = spec.array->real->nlocal();
+    o.refs = spec.group == 0
+                 ? plan.data_loc.refs[static_cast<std::size_t>(spec.batch)]
+                       .data()
+                 : plan.direct_loc.refs.data();
+    o.view = scratch.views[plan.view_index(spec.group, spec.ghost_slot)].data();
   }
-  plan.write_slots.resize(m.body.size());
-  for (std::size_t si = 0; si < m.body.size(); ++si) {
-    const auto& w = plan.writes[si];
-    WriteSlot& slot = plan.write_slots[si];
-    slot.refs_group = w.refs_group;
-    slot.code = &m.code[si];
-    slot.rop = core::ReduceOp::Add;
+  plan.write_slots.resize(plan.writes.size());
+  for (std::size_t k = 0; k < plan.writes.size(); ++k) {
+    const auto& w = plan.writes[k];
+    WriteSlot& slot = plan.write_slots[k];
+    slot.code = &m.code[static_cast<std::size_t>(w.stmt)];
+    slot.rop = core::ReduceOp::Replace;
     if (w.refs_group == 2) {
       const auto& loc =
           plan.assign_loc[static_cast<std::size_t>(w.assign_slot)];
@@ -768,24 +888,59 @@ void exec_compute(rt::Process& p, LoopPlan& plan) {
     }
   }
 
-  // The sweep (statically compiled bytecode per statement).
+  // Column scratch: one gathered column per operand, one result column per
+  // statement (its stack position 0), then stack positions 1..max_stack-1,
+  // which the statements share.
+  const std::size_t nops = plan.runtime_ops.size();
+  const std::size_t nstmt = plan.write_slots.size();
+  constexpr auto kCol = static_cast<std::size_t>(kBlock);
+  scratch.columns.resize(
+      (nops + nstmt + static_cast<std::size_t>(m.max_stack) - 1) * kCol);
+  f64* const operand_cols = scratch.columns.data();
+  f64* const result_cols = operand_cols + nops * kCol;
+  f64* const stack_cols = result_cols + nstmt * kCol;
+
+  // The sweep, kBlock local iterations at a time.
   const i64 niter = static_cast<i64>(plan.iter_ids.size());
-  f64 stack[kMaxExprDepth];
-  for (i64 l = 0; l < niter; ++l) {
-    const f64 iter_value =
-        static_cast<f64>(plan.iter_ids[static_cast<std::size_t>(l)] + 1);
-    for (auto& slot : plan.write_slots) {
-      const f64 v = eval_code(*slot.code, plan.runtime_ops, plan.scalar_ptrs,
-                              l, iter_value, stack);
-      const i64 ref = slot.refs[l];
-      if (slot.refs_group == 2) {
-        if (ref < slot.nlocal) {
-          slot.local[ref] = v;
-        } else {
-          slot.staging[ref - slot.nlocal] = v;
-        }
-      } else {
-        slot.staging[ref] = core::apply_reduce(slot.rop, slot.staging[ref], v);
+  for (i64 l0 = 0; l0 < niter; l0 += kBlock) {
+    const i64 len = std::min(kBlock, niter - l0);
+    for (std::size_t k = 0; k < nops; ++k) {
+      const RuntimeOperand& o = plan.runtime_ops[k];
+      const i64* refs = o.refs + l0;
+      f64* col = operand_cols + k * kCol;
+      for (i64 j = 0; j < len; ++j) col[j] = o.view[refs[j]];
+    }
+    for (std::size_t si = 0; si < nstmt; ++si) {
+      WriteSlot& slot = plan.write_slots[si];
+      slot.value = eval_block(*slot.code, operand_cols, plan.scalar_ptrs,
+                              plan.iter_ids.data() + l0, len,
+                              result_cols + si * kCol, stack_cols);
+    }
+    // Every statement's values for the block exist before the first write.
+    // That is legal because plan build rejects a FORALL that reads an array
+    // it writes (ForallMeta::conflict_array): no write can change a value
+    // the block gathered. Runs write disjoint storage, and each run writes
+    // in (iteration, statement) order, so every accumulator folds, and
+    // every element is assigned, in the order of a sweep that evaluates one
+    // iteration at a time.
+    for (std::size_t k = 0; k < nstmt;) {
+      const auto end = static_cast<std::size_t>(plan.writes[k].run_end);
+      const WriteSlot* first = plan.write_slots.data() + k;
+      const WriteSlot* last = plan.write_slots.data() + end;
+      k = end;
+      switch (first->rop) {
+        case core::ReduceOp::Add:
+          write_run<core::ReduceOp::Add>(first, last, l0, len);
+          break;
+        case core::ReduceOp::Max:
+          write_run<core::ReduceOp::Max>(first, last, l0, len);
+          break;
+        case core::ReduceOp::Min:
+          write_run<core::ReduceOp::Min>(first, last, l0, len);
+          break;
+        case core::ReduceOp::Replace:
+          write_run<core::ReduceOp::Replace>(first, last, l0, len);
+          break;
       }
     }
   }
@@ -846,7 +1001,7 @@ void Instance::run_directive(rt::Process& p, const Statement& s) {
   if (const auto* d = std::get_if<DeclArrays>(&s.node)) {
     for (const auto& [name, size] : d->arrays) {
       if (st.arrays.count(name)) sema_fail("array '" + name + "' redeclared",
-                                           size.line);
+                                           size);
       ArrayInfo info;
       info.type = d->type;
       info.size = resolve_size(size, st.scalars);
@@ -858,7 +1013,7 @@ void Instance::run_directive(rt::Process& p, const Statement& s) {
   if (const auto* d = std::get_if<DeclDecomps>(&s.node)) {
     for (const auto& [name, size] : d->decomps) {
       if (st.decomps.count(name)) {
-        sema_fail("decomposition '" + name + "' redeclared", size.line);
+        sema_fail("decomposition '" + name + "' redeclared", size);
       }
       DecompInfo info;
       info.size = resolve_size(size, st.scalars);
@@ -871,7 +1026,7 @@ void Instance::run_directive(rt::Process& p, const Statement& s) {
     auto it = st.decomps.find(d->decomp);
     if (it == st.decomps.end()) {
       sema_fail("DISTRIBUTE of unknown decomposition '" + d->decomp + "'",
-                d->line);
+                *d);
     }
     DecompInfo& dec = it->second;
     if (d->format == "BLOCK") {
@@ -881,7 +1036,7 @@ void Instance::run_directive(rt::Process& p, const Statement& s) {
     } else {
       const auto dit = st.dists.find(d->format);
       if (dit == st.dists.end()) {
-        sema_fail("unknown distribution format '" + d->format + "'", d->line);
+        sema_fail("unknown distribution format '" + d->format + "'", *d);
       }
       dec.dist = dit->second;
     }
@@ -891,22 +1046,22 @@ void Instance::run_directive(rt::Process& p, const Statement& s) {
     auto dit = st.decomps.find(a->decomp);
     if (dit == st.decomps.end()) {
       sema_fail("ALIGN with unknown decomposition '" + a->decomp + "'",
-                a->line);
+                *a);
     }
     DecompInfo& dec = dit->second;
     if (!dec.dist) {
-      sema_fail("ALIGN before DISTRIBUTE of '" + a->decomp + "'", a->line);
+      sema_fail("ALIGN before DISTRIBUTE of '" + a->decomp + "'", *a);
     }
     for (const auto& name : a->arrays) {
       auto ait = st.arrays.find(name);
       if (ait == st.arrays.end()) {
-        sema_fail("ALIGN of unknown array '" + name + "'", a->line);
+        sema_fail("ALIGN of unknown array '" + name + "'", *a);
       }
       ArrayInfo& arr = ait->second;
       if (arr.size != dec.size) {
         sema_fail("array '" + name + "' and decomposition '" + a->decomp +
                       "' differ in extent",
-                  a->line);
+                  *a);
       }
       arr.decomp = a->decomp;
       dec.aligned.push_back(name);
@@ -944,12 +1099,12 @@ void Instance::run_directive(rt::Process& p, const Statement& s) {
     // arrays if given, else any distributed decomposition of extent nverts.
     std::shared_ptr<const dist::Distribution> vdist;
     auto adopt = [&](const std::string& array_name) {
-      ArrayInfo& a = lookup_array(st, array_name, c->line);
+      ArrayInfo& a = lookup_array(st, array_name, *c);
       if (!vdist) {
         vdist = a.dist_ptr();
       } else if (!(vdist->dad() == a.dad())) {
         sema_fail("CONSTRUCT per-vertex arrays must share a distribution",
-                  c->line);
+                  *c);
       }
     };
     for (const auto& g : c->geometry_arrays) adopt(g);
@@ -965,10 +1120,10 @@ void Instance::run_directive(rt::Process& p, const Statement& s) {
     if (!vdist) {
       sema_fail("CONSTRUCT: no distributed decomposition of extent " +
                     std::to_string(nverts),
-                c->line);
+                *c);
     }
     if (vdist->size() != nverts) {
-      sema_fail("CONSTRUCT: vertex count mismatch", c->line);
+      sema_fail("CONSTRUCT: vertex count mismatch", *c);
     }
 
     // Guard DADs: every array the GeoCoL is built from. If none changed
@@ -977,14 +1132,14 @@ void Instance::run_directive(rt::Process& p, const Statement& s) {
     // Section 3 method.
     std::vector<dist::Dad> source_dads;
     for (const auto& g : c->geometry_arrays) {
-      source_dads.push_back(lookup_array(st, g, c->line).dad());
+      source_dads.push_back(lookup_array(st, g, *c).dad());
     }
     if (!c->load_array.empty()) {
-      source_dads.push_back(lookup_array(st, c->load_array, c->line).dad());
+      source_dads.push_back(lookup_array(st, c->load_array, *c).dad());
     }
     for (const auto& [uname, vname] : c->links) {
-      source_dads.push_back(lookup_array(st, uname, c->line).dad());
-      source_dads.push_back(lookup_array(st, vname, c->line).dad());
+      source_dads.push_back(lookup_array(st, uname, *c).dad());
+      source_dads.push_back(lookup_array(st, vname, *c).dad());
     }
     st.geocol_sources[c->name] = source_dads;
 
@@ -992,30 +1147,30 @@ void Instance::run_directive(rt::Process& p, const Statement& s) {
       core::GeoColBuilder builder(p, vdist);
       std::vector<std::span<const f64>> coords;
       for (const auto& g : c->geometry_arrays) {
-        ArrayInfo& a = lookup_array(st, g, c->line);
+        ArrayInfo& a = lookup_array(st, g, *c);
         if (a.type != ElemType::Real8) {
-          sema_fail("GEOMETRY array '" + g + "' must be REAL*8", c->line);
+          sema_fail("GEOMETRY array '" + g + "' must be REAL*8", *c);
         }
         coords.push_back(a.real->local());
       }
       if (!coords.empty()) builder.geometry(coords);
       if (!c->load_array.empty()) {
-        ArrayInfo& a = lookup_array(st, c->load_array, c->line);
+        ArrayInfo& a = lookup_array(st, c->load_array, *c);
         if (a.type != ElemType::Real8) {
-          sema_fail("LOAD array must be REAL*8", c->line);
+          sema_fail("LOAD array must be REAL*8", *c);
         }
         builder.load(a.real->local());
       }
       for (const auto& [uname, vname] : c->links) {
-        ArrayInfo& ua = lookup_array(st, uname, c->line);
-        ArrayInfo& va = lookup_array(st, vname, c->line);
+        ArrayInfo& ua = lookup_array(st, uname, *c);
+        ArrayInfo& va = lookup_array(st, vname, *c);
         if (ua.type != ElemType::Integer || va.type != ElemType::Integer) {
-          sema_fail("LINK arrays must be INTEGER", c->line);
+          sema_fail("LINK arrays must be INTEGER", *c);
         }
         const i64 declared = resolve_size(c->link_size, st.scalars);
         if (ua.size != declared || va.size != declared) {
           sema_fail("LINK arrays do not match the declared edge count",
-                    c->line);
+                    *c);
         }
         // Convert the 1-based endpoints to 0-based vertex ids.
         std::vector<i64> u0(ua.integer->local().begin(),
@@ -1043,7 +1198,7 @@ void Instance::run_directive(rt::Process& p, const Statement& s) {
     rt::ClockSection section(p.clock());
     const auto git = st.geocols.find(sp->geocol);
     if (git == st.geocols.end()) {
-      sema_fail("SET: unknown GeoCoL '" + sp->geocol + "'", sp->line);
+      sema_fail("SET: unknown GeoCoL '" + sp->geocol + "'", *sp);
     }
     auto build_dist = [&] {
       return std::make_shared<DistProduct>(DistProduct{
@@ -1071,17 +1226,17 @@ void Instance::run_directive(rt::Process& p, const Statement& s) {
     auto dit = st.decomps.find(r->decomp);
     if (dit == st.decomps.end()) {
       sema_fail("REDISTRIBUTE of unknown decomposition '" + r->decomp + "'",
-                r->line);
+                *r);
     }
     const auto fit = st.dists.find(r->dist_name);
     if (fit == st.dists.end()) {
       sema_fail("REDISTRIBUTE with unknown distribution '" + r->dist_name +
                     "'",
-                r->line);
+                *r);
     }
     DecompInfo& dec = dit->second;
     if (dec.size != fit->second->size()) {
-      sema_fail("REDISTRIBUTE: extent mismatch", r->line);
+      sema_fail("REDISTRIBUTE: extent mismatch", *r);
     }
     core::Redistributor rd(&st.registry);
     for (const auto& name : dec.aligned) {
@@ -1153,17 +1308,17 @@ void Instance::run_vm(rt::Process& p) {
         const ForallMeta& m = prog.foralls[static_cast<std::size_t>(ins.a)];
         ForallRt& fx = st.frt[static_cast<std::size_t>(ins.a)];
         const i64 lo = resolve_size(m.lo, st.scalars);
-        if (lo != 1) sema_fail("FORALL lower bound must be 1", m.line);
+        if (lo != 1) sema_fail("FORALL lower bound must be 1", m);
         fx.n = resolve_size(m.hi, st.scalars);
         fx.plan = nullptr;
         if (reuse_enabled_) {
           fx.guard_data.clear();
           for (const auto& name : m.guard_arrays) {
-            fx.guard_data.push_back(lookup_array(st, name, m.line).dad());
+            fx.guard_data.push_back(lookup_array(st, name, m).dad());
           }
           fx.guard_ind.clear();
           for (const auto& name : m.ind_names) {
-            fx.guard_ind.push_back(lookup_array(st, name, m.line).dad());
+            fx.guard_ind.push_back(lookup_array(st, name, m).dad());
           }
           if (!plan_opts_.repair_enabled()) {
             // Two-way probe: hit or plain miss, the pre-repair protocol.
@@ -1243,13 +1398,13 @@ void Instance::run_vm(rt::Process& p) {
       }
       case PlanOp::Pack: {
         ForallRt& fx = st.frt[static_cast<std::size_t>(ins.a)];
-        fx.stage = exec_pack(*fx.plan, ins.b, ins.c);
+        fx.stage = exec_pack(*fx.plan, st.scratch, ins.b, ins.c);
         ++pc;
         break;
       }
       case PlanOp::Exchange: {
         ForallRt& fx = st.frt[static_cast<std::size_t>(ins.a)];
-        exec_exchange(p, *fx.plan, ins.b, ins.c, fx.stage);
+        exec_exchange(p, *fx.plan, st.scratch, ins.b, ins.c, fx.stage);
         ++pc;
         break;
       }
@@ -1261,7 +1416,7 @@ void Instance::run_vm(rt::Process& p) {
       }
       case PlanOp::Compute: {
         ForallRt& fx = st.frt[static_cast<std::size_t>(ins.a)];
-        exec_compute(p, *fx.plan);
+        exec_compute(p, *fx.plan, st.scratch);
         ++pc;
         break;
       }
@@ -1312,9 +1467,7 @@ void Instance::execute(rt::Process& p) {
 std::vector<f64> Instance::fetch_real(rt::Process& p,
                                       const std::string& array) {
   CHAOS_CHECK(state_ != nullptr, "fetch before execute");
-  std::string key = array;
-  std::transform(key.begin(), key.end(), key.begin(), ::toupper);
-  ArrayInfo& a = lookup_array(*state_, key, 0);
+  ArrayInfo& a = lookup_array(*state_, upper(array), HostCall{});
   CHAOS_CHECK(a.type == ElemType::Real8, "fetch_real of INTEGER array");
   return a.real->to_global(p);
 }

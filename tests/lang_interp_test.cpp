@@ -33,7 +33,7 @@ C$    DECOMPOSITION reg(4)
 C$    ALIGN x WITH reg
 )",
        {},
-       "line 4: ALIGN before DISTRIBUTE of 'REG'"},
+       "line 4:7: ALIGN before DISTRIBUTE of 'REG'"},
       {R"(
       REAL*8 x(4)
       INTEGER ia(4)
@@ -45,7 +45,7 @@ C$    ALIGN x, ia WITH reg
       END FORALL
 )",
        {{"IA", {1, 2, 3, 4}}},
-       "line 7: array 'X' is both read and written in one FORALL; only "
+       "line 7:7: array 'X' is both read and written in one FORALL; only "
        "left-hand-side reductions may carry dependences"},
       {R"(
       REAL*8 x(4), w(4)
@@ -57,7 +57,7 @@ C$    ALIGN x, w WITH reg
       END FORALL
 )",
        {},
-       "line 6: indirection array 'W' must be INTEGER"},
+       "line 6:7: indirection array 'W' must be INTEGER"},
       {R"(
       REAL*8 x(4), y(4)
       INTEGER ia(4)
@@ -69,7 +69,7 @@ C$    ALIGN x, y, ia WITH reg
       END FORALL
 )",
        {{"IA", {1, 2, 3, 9}}},
-       "line 7: indirection array 'IA' holds index 9 outside 1..4"},
+       "line 7:7: indirection array 'IA' holds index 9 outside 1..4"},
       {R"(
       REAL*8 x(4), y(4)
       INTEGER ia(4)
@@ -82,7 +82,25 @@ C$    ALIGN x, y, ia WITH reg
       END FORALL
 )",
        {{"IA", {1, 2, 3, 4}}},
-       "line 9: mixed reduction operators on array 'Y' in one FORALL"},
+       "line 9:9: mixed reduction operators on array 'Y' in one FORALL"},
+      {R"(
+      REAL*8 x(4), x(4)
+)",
+       {},
+       "line 2:22: array 'X' redeclared"},
+      {R"(
+      REAL*8 y(4)
+C$    DECOMPOSITION reg(4)
+C$    DISTRIBUTE reg(BLOCK)
+C$    ALIGN y WITH reg
+      DO k = 7, 6
+      END DO
+      FORALL i = 1, 4
+        y(i) = 2.0 * k
+      END FORALL
+)",
+       {},
+       "line 9:22: unbound scalar 'K'"},
   };
   rt::Machine::run(1, [&](rt::Process& p) {
     for (const auto& bad : table) {
@@ -128,4 +146,31 @@ C$    ALIGN x WITH reg
   EXPECT_EQ(inst.mapper_cache_stats().hits, 0);
   EXPECT_EQ(inst.mapper_cache_stats().misses, 0);
   EXPECT_EQ(inst.reuse_registry().nmod(), 0u);
+}
+
+TEST(Interp, NonAsciiHostNamesEndInATypedError) {
+  // Host names are upper-cased byte by byte, as the lexer does: a byte
+  // >= 0x80 reaches toupper as an unsigned char, and a name no program can
+  // declare is simply unknown.
+  const std::string name = "\xC3\x89";
+  auto prog = lang::compile(R"(
+      REAL*8 x(4)
+C$    DECOMPOSITION reg(4)
+C$    DISTRIBUTE reg(BLOCK)
+C$    ALIGN x WITH reg
+)");
+  rt::Machine::run(1, [&](rt::Process& p) {
+    lang::Instance inst(prog);
+    inst.set_param(name, 1);
+    inst.bind_real(name, {1.0, 2.0, 3.0, 4.0});
+    inst.bind_int(name, {1, 2, 3, 4});
+    inst.execute(p);
+    std::string message = "<no error>";
+    try {
+      (void)inst.fetch_real(p, name);
+    } catch (const lang::LangError& e) {
+      message = e.what();
+    }
+    EXPECT_EQ(message, "line 0: unknown array '" + name + "'");
+  });
 }

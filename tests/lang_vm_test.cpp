@@ -366,6 +366,45 @@ C$    REDISTRIBUTE reg(fb)
   two.mapper_misses = 4;
   two.mapper_hits = 8;
   out.push_back(two);
+
+  // COMPUTE evaluates blocks of local iterations: 1003 iterations span
+  // several full blocks and a partial tail on every rank count. Two ADDs
+  // into Y through different indirections share one accumulator, so they
+  // fold in (iteration, statement) order; the body uses every StackOp.
+  constexpr i64 big = 1003;
+  Scenario blocks;
+  blocks.name = "several_blocks";
+  blocks.source = R"(
+      REAL*8 x(n), w(n), s(n), y(n), z(n), a(n), hi(n), lo(n)
+      INTEGER ia(n), ib(n), perm(n)
+C$    DECOMPOSITION reg(n)
+C$    DISTRIBUTE reg(BLOCK)
+C$    ALIGN x, w, s, y, z, a, hi, lo, ia, ib, perm WITH reg
+      FORALL i = 1, n
+        REDUCE(ADD, y(ia(i)), x(ia(i)) * w(ib(i)) - x(ib(i)) / (2.0 + s(i)))
+        REDUCE(ADD, y(ib(i)), sqrt(abs(x(ib(i)) - w(i))) ** 1.5 + sin(x(i)))
+        a(perm(i)) = cos(x(i)) * exp(-s(i))
+        z(i) = scale * i + mod(i, 7.0)
+        REDUCE(MAX, hi(ia(i)), max(x(ib(i)), w(i)))
+        REDUCE(MIN, lo(ib(i)), min(x(ia(i)), -w(i)))
+      END FORALL
+)";
+  blocks.params = {{"N", big}, {"SCALE", 3}};
+  blocks.reals["X"] = cosines(big);
+  std::vector<f64> bw(big), bs(big);
+  std::vector<i64> bia(big), bib(big), bperm(big);
+  for (i64 i = 0; i < big; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    bw[k] = std::sin(0.37 * static_cast<f64>(i)) * 3.0;
+    bs[k] = 0.01 * static_cast<f64>(i);
+    bia[k] = (i * 7919) % 997 + 1;      // many-to-one
+    bib[k] = (i * i + 3) % big + 1;     // quadratic residues: many-to-one
+    bperm[k] = (i * 10 + 7) % big + 1;  // gcd(10, 1003) = 1: a permutation
+  }
+  blocks.reals["W"] = bw;
+  blocks.reals["S"] = bs;
+  blocks.ints = {{"IA", bia}, {"IB", bib}, {"PERM", bperm}};
+  out.push_back(blocks);
   return out;
 }
 
