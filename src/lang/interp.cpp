@@ -841,9 +841,8 @@ void exec_compute(rt::Process& p, LoopPlan& plan, ExecScratch& scratch) {
   const auto refresh = [&](int group, const std::vector<ArrayInfo*>& reads) {
     for (std::size_t k = 0; k < reads.size(); ++k) {
       const auto local = reads[k]->real->local();
-      std::copy(local.begin(), local.end(),
-                scratch.views[plan.view_index(group, static_cast<int>(k))]
-                    .begin());
+      auto& view = scratch.views[plan.view_index(group, static_cast<int>(k))];
+      std::copy(local.begin(), local.end(), view.begin());
     }
   };
   refresh(0, plan.reads_data);
