@@ -367,10 +367,12 @@ C$    REDISTRIBUTE reg(fb)
   two.mapper_hits = 8;
   out.push_back(two);
 
-  // COMPUTE evaluates blocks of local iterations: 1003 iterations span
-  // several full blocks and a partial tail on every rank count. Two ADDs
-  // into Y through different indirections share one accumulator, so they
-  // fold in (iteration, statement) order; the body uses every StackOp.
+  // COMPUTE evaluates blocks of 256 local iterations: with 1003 iterations
+  // P = 1 runs three full blocks and a partial tail, rank 0 at P = 3 and 4
+  // a full block and a tail, and rank 1 at P = 4 exactly one full block.
+  // Two ADDs into Y through different indirections share one accumulator,
+  // so they fold in (iteration, statement) order; the body uses every
+  // StackOp.
   constexpr i64 big = 1003;
   Scenario blocks;
   blocks.name = "several_blocks";
