@@ -18,62 +18,23 @@
 //      survive the 2 -> 1 collapse onto a lone survivor;
 //   4. keep the degraded machine as cheap as the healthy one: warm executor
 //      sweeps after the shrink perform 0 heap allocations (global
-//      operator-new counting hook, as in ablation_recovery);
+//      operator-new counting hook, bench/alloc_hook.cpp);
 //   5. pay honest modeled charges: checkpoint captures and shrink-restores
 //      are tallied in MessageStats, never free.
 // Results go to BENCH_degrade.json; all gates are enforced in-binary.
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_hook.hpp"
 #include "bench/common.hpp"
 #include "core/degrade.hpp"
 #include "rt/checkpoint.hpp"
 #include "rt/fault.hpp"
-
-// --- global allocation counter ----------------------------------------------
-
-namespace {
-std::atomic<long long> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace bench = chaos::bench;
 namespace core = chaos::core;
@@ -193,13 +154,9 @@ RunOutcome run_app(rt::Machine& machine, const bench::Workload& w,
   auto sweep_body = [&](rt::Process& p) {
     RankState& s = st[static_cast<std::size_t>(p.rank())];
     s.y_work = *s.y;  // fresh copy per attempt: idempotent accumulation
-    const int P = p.nprocs();
     for (int k = 0; k < kChunkSweeps; ++k) {
       core::EdgeReductionLoop::execute(p, *s.plan, *s.x, *s.y_work, edge_f,
                                        edge_g, 8.0);
-      // Ring heartbeat: gives the mailbox injection sites real visits.
-      p.send_value<i64>((p.rank() + 1) % P, 3, static_cast<i64>(k));
-      (void)p.recv_value<i64>((p.rank() + P - 1) % P, 3);
     }
   };
 
@@ -223,7 +180,7 @@ RunOutcome run_app(rt::Machine& machine, const bench::Workload& w,
       if (it == 1) {  // window opens after the sizing sweep
         rt::barrier(p);
         if (p.rank() == 0) {
-          warm_start = g_heap_allocs.load(std::memory_order_relaxed);
+          warm_start = bench::heap_allocs();
         }
       }
       core::EdgeReductionLoop::execute(p, *s.plan, *s.x, *s.y_work, edge_f,
@@ -231,7 +188,7 @@ RunOutcome run_app(rt::Machine& machine, const bench::Workload& w,
     }
     rt::barrier(p);
     if (p.rank() == 0) {
-      warm_end = g_heap_allocs.load(std::memory_order_relaxed);
+      warm_end = bench::heap_allocs();
     }
   };
 
@@ -350,17 +307,15 @@ int main() {
   bench::RobustnessTally tally;
 
   // --- single-kill sweep: every site x every victim rank ---------------------
-  // A Permanent fault armed at each of the six sites in turn, on every rank.
+  // A Permanent fault armed at each of the four sites in turn, on every rank.
   // Visit ranges are sized per site so most seeds land inside a real visit
   // sequence; a seed whose visit is never reached runs clean at full width
   // (and still must be bit-identical).
   static constexpr u64 kNthRange[rt::kFaultSiteCount] = {
       40,  // BarrierArrive
       12,  // BlackboardPublish
-      4,   // MailboxPut: one heartbeat per rank per sweep
-      4,   // MailboxRecv
       10,  // Alltoall
-      8,   // AlltoallvFlat
+      24,  // AlltoallvFlat: 3 in setup, then 5 per chunk (see double kill)
   };
   i64 fired_scenarios = 0, restores = 0, restarts = 0, failures = 0;
   i64 sweep_retries = 0;
@@ -429,14 +384,20 @@ int main() {
               static_cast<long long>(failures));
 
   // --- double kill: 8 -> 7 -> 6 ----------------------------------------------
-  // MailboxPut visits are one per rank per sweep, so nth = 3 lands
-  // deterministically in the second chunk of each era: kill 1 after commit
-  // 1, restore at width 7, re-checkpoint, then kill 2 after a width-7
-  // commit — the second restore must come from the width-7 checkpoint.
+  // Each rank visits AlltoallvFlat 3 times in setup, 4 times per sweep
+  // phase (a gather and a scatter per sweep) and once per checkpoint, at any
+  // width. Kill 1's era starts at setup and kill 2's right after the width-7
+  // restore and re-checkpoint, so nth = 3+4+1+1 = 9 and nth = 4+1+1 = 6
+  // both land deterministically in the first sweep of the era's second
+  // chunk: kill 1 after commit 1, restore at width 7, re-checkpoint, then
+  // kill 2 after a width-7 commit — the second restore must come from the
+  // width-7 checkpoint.
   rt::FaultPlan kill1(kProcs);
-  kill1.add({rt::FaultSite::MailboxPut, rt::FaultKind::Permanent, 5, 3, 0.0});
+  kill1.add({rt::FaultSite::AlltoallvFlat, rt::FaultKind::Permanent, 5, 9,
+             0.0});
   rt::FaultPlan kill2(kProcs);
-  kill2.add({rt::FaultSite::MailboxPut, rt::FaultKind::Permanent, 2, 3, 0.0});
+  kill2.add({rt::FaultSite::AlltoallvFlat, rt::FaultKind::Permanent, 2, 6,
+             0.0});
   const RunOutcome dbl = run_app(machine, w, {&kill1, &kill2});
   const bool dbl_ok = dbl.ok && dbl.final_width == kProcs - 2 &&
                       dbl.restores == 2 && dbl.dead.size() == 2 &&
@@ -459,8 +420,9 @@ int main() {
   // --- 2 -> 1 collapse -------------------------------------------------------
   rt::Machine duo(2);
   const RunOutcome duo_clean = run_app(duo, w, {});
-  rt::FaultPlan killc(2);
-  killc.add({rt::FaultSite::MailboxPut, rt::FaultKind::Permanent, 0, 3, 0.0});
+  rt::FaultPlan killc(2);  // the second chunk's first sweep, as for kill 1
+  killc.add({rt::FaultSite::AlltoallvFlat, rt::FaultKind::Permanent, 0, 9,
+             0.0});
   const RunOutcome solo = run_app(duo, w, {&killc});
   const bool collapse_ok = duo_clean.ok && same_y(duo_clean, clean) &&
                            solo.ok && solo.final_width == 1 &&

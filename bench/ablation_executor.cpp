@@ -10,57 +10,14 @@
 // perf trajectory is tracked from PR to PR. The nested-vector baseline this
 // bench once carried is retired; its last numbers are the "nested" rows of
 // BENCH_executor.json in git history.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_hook.hpp"
 #include "bench/common.hpp"
 #include "workload/rng.hpp"
-
-// --- global allocation counter ----------------------------------------------
-// Replacing the global operator new/delete in this TU hooks every heap
-// allocation in the binary (the chaos library is static). Counting is
-// relaxed-atomic: the bench only reads the counter between barriers, when
-// all ranks are quiescent.
-
-namespace {
-std::atomic<long long> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace bench = chaos::bench;
 namespace rt = chaos::rt;
@@ -122,7 +79,7 @@ ConfigResult run_config(const std::string& workload, int procs, i64 nnodes,
                               core::ReduceOp::Add, ws);
 
     rt::barrier(p);
-    const long long allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+    const long long allocs0 = bench::heap_allocs();
     const auto w0 = std::chrono::steady_clock::now();
     rt::ClockSection section(p.clock());
     const i64 bytes0 = p.stats().alltoallv_bytes;
@@ -139,7 +96,7 @@ ConfigResult run_config(const std::string& workload, int procs, i64 nnodes,
       r.wall_seconds =
           std::chrono::duration<f64>(std::chrono::steady_clock::now() - w0)
               .count();
-      const long long allocs1 = g_heap_allocs.load(std::memory_order_relaxed);
+      const long long allocs1 = bench::heap_allocs();
       r.allocs_per_sweep_per_rank =
           static_cast<f64>(allocs1 - allocs0) /
           (static_cast<f64>(kSweeps) * static_cast<f64>(procs));

@@ -7,9 +7,9 @@
 //      {no plan installed, armed-but-idle plan, firing delay plan}. Gated
 //      bitwise here on a collective loop and on the full tiny-mesh hand
 //      pipeline (the same code paths BENCH_inspector/BENCH_executor time).
-//   2. Bounded detection — with a deadline armed, a stalled rank is detected
-//      and surfaced as MachineTimeout within the deadline plus scheduling
-//      slack, for both a barrier stall and a lost-message recv stall.
+//   2. Bounded detection — with a deadline armed, a rank stalled at its
+//      barrier arrival is detected and surfaced as MachineTimeout within the
+//      deadline plus scheduling slack.
 // Results go to BENCH_faults.json; both gates are enforced in-binary so CI
 // fails loudly.
 #include <chrono>
@@ -58,8 +58,6 @@ f64 collective_loop(rt::Machine& machine) {
       (void)rt::allreduce_sum(p, i64{p.rank()});
       rt::alltoall<i64>(p, counts, peers);
       rt::alltoallv_flat<f64>(p, payload, off, ghost, off);
-      if (p.rank() == 0) p.send_value<int>(1 % P, 3, iter);
-      if (p.rank() == 1 % P) (void)p.recv_value<int>(0, 3);
     }
   });
   return machine.max_virtual_time_us();
@@ -102,43 +100,28 @@ IdentityResult run_identity(const std::string& config) {
 // --- half 2: detection latency ----------------------------------------------
 
 struct DetectionResult {
-  std::string scenario;  // "barrier_stall" / "recv_stall"
+  std::string scenario;  // "barrier_stall"
   f64 deadline_sec = 0.0;
   f64 detect_sec = 0.0;  // run start -> MachineTimeout surfaced
   bool typed_timeout = false;
   int missing_rank = -1;
 };
 
-DetectionResult run_detection(const std::string& scenario, f64 deadline_sec) {
+DetectionResult run_detection(f64 deadline_sec) {
   DetectionResult r;
-  r.scenario = scenario;
+  r.scenario = "barrier_stall";
   r.deadline_sec = deadline_sec;
   rt::Machine machine(kProcs);
   machine.set_deadline_sec(deadline_sec);
   rt::FaultPlan plan(kProcs);
-  const int victim = 3;
-  // barrier_stall parks the victim at its first barrier arrival; recv_stall
-  // parks it at its send, so the peer waiting in recv holds a dead letter
-  // box — the two distinct watchdogs (barrier epoch scan, mailbox deadline).
-  plan.add({scenario == "barrier_stall" ? rt::FaultSite::BarrierArrive
-                                        : rt::FaultSite::MailboxPut,
-            rt::FaultKind::Stall, victim});
+  // The victim parks at its first barrier arrival; the peers' watchdog scans
+  // the barrier epochs and names it.
+  plan.add({rt::FaultSite::BarrierArrive, rt::FaultKind::Stall, /*rank=*/3});
   machine.install_fault_plan(&plan);
 
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    machine.run([&](rt::Process& p) {
-      if (scenario == "recv_stall") {
-        // Only the mailbox watchdog is armed: the victim stalls before its
-        // send, rank 0 waits on the dead letter box, everyone else returns
-        // (a peer parked in a barrier would race its own watchdog and
-        // report missing ranks {0, victim}).
-        if (p.rank() == victim) p.send_value<int>(0, 1, 42);
-        if (p.rank() == 0) (void)p.recv_value<int>(victim, 1);
-      } else {
-        rt::barrier(p);
-      }
-    });
+    machine.run([](rt::Process& p) { rt::barrier(p); });
   } catch (const chaos::MachineTimeout& t) {
     r.typed_timeout = true;
     if (!t.missing_ranks.empty()) r.missing_rank = t.missing_ranks.front();
@@ -202,10 +185,8 @@ int main() {
   }
 
   constexpr f64 kDeadlineSec = 0.4;
-  std::vector<DetectionResult> detect;
-  for (const char* scenario : {"barrier_stall", "recv_stall"}) {
-    detect.push_back(run_detection(scenario, kDeadlineSec));
-    const auto& r = detect.back();
+  const std::vector<DetectionResult> detect = {run_detection(kDeadlineSec)};
+  for (const auto& r : detect) {
     std::printf("%-14s deadline %.2fs -> detected in %.3fs (typed=%s, "
                 "missing rank %d)\n",
                 r.scenario.c_str(), r.deadline_sec, r.detect_sec,

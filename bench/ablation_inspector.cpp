@@ -12,55 +12,16 @@
 // BENCH_inspector.json. The translate-first unordered_map baseline this
 // bench once carried is retired; its last numbers are the "seed" rows of
 // BENCH_inspector.json in git history.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_hook.hpp"
 #include "bench/common.hpp"
 #include "dist/translation_cache.hpp"
 #include "workload/rng.hpp"
-
-// --- global allocation counter ----------------------------------------------
-
-namespace {
-std::atomic<long long> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace bench = chaos::bench;
 namespace rt = chaos::rt;
@@ -133,7 +94,7 @@ ConfigResult run_config(const std::string& workload, int procs, i64 nnodes,
     const i64 distinct_total = rt::allreduce_sum(p, distinct);
 
     rt::barrier(p);
-    const long long allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+    const long long allocs0 = bench::heap_allocs();
     const auto w0 = std::chrono::steady_clock::now();
     rt::ClockSection section(p.clock());
     for (int sweep = 0; sweep < kSweeps; ++sweep) {
@@ -158,7 +119,7 @@ ConfigResult run_config(const std::string& workload, int procs, i64 nnodes,
       r.wall_seconds =
           std::chrono::duration<f64>(std::chrono::steady_clock::now() - w0)
               .count();
-      const long long allocs1 = g_heap_allocs.load(std::memory_order_relaxed);
+      const long long allocs1 = bench::heap_allocs();
       r.allocs_per_inspection_per_rank =
           static_cast<f64>(allocs1 - allocs0) /
           (static_cast<f64>(kSweeps) * static_cast<f64>(procs));

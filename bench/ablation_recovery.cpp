@@ -2,71 +2,32 @@
 //
 // The recovery PR's contract, measured end to end: a supervised pipeline hit
 // by a deterministic transient fault — Throw, Stall, or AllocFail at any of
-// the six rt/ injection sites, on any rank, at a seeded visit — must
+// the four rt/ injection sites, on any rank, at a seeded visit — must
 //   1. recover on EVERY seed within the retry budget (one fault == at most
 //      one retry: FaultPlan visit counters are cumulative across attempts,
 //      so a spec is single-shot and the retried attempt runs clean);
 //   2. reproduce the clean run bit for bit: final y array AND the modeled
 //      virtual clock of each phase's successful attempt (backoff burns
-//      wall-clock only; recover() leaves no message or epoch residue);
+//      wall-clock only; recover() leaves no barrier or blackboard residue);
 //   3. keep the clean path allocation-free where it was before: the warm
 //      executor sweeps perform 0 heap allocations (global operator-new
-//      counting hook, as in ablation_ttable).
+//      counting hook, bench/alloc_hook.cpp).
 // The pipeline is the paper's partition -> inspect -> execute sequence over
 // the tiny mesh, each phase its own supervised unit with per-rank state
 // carried across phases — exactly the shape the Supervisor exists for.
 // Results go to BENCH_recovery.json; all gates are enforced in-binary.
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_hook.hpp"
 #include "bench/common.hpp"
 #include "dist/remap.hpp"
 #include "dist/translation_cache.hpp"
 #include "rt/fault.hpp"
-
-// --- global allocation counter ----------------------------------------------
-
-namespace {
-std::atomic<long long> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace bench = chaos::bench;
 namespace core = chaos::core;
@@ -184,14 +145,13 @@ PipelineRun run_pipeline(rt::Machine& machine, const bench::Workload& w,
     RankState& s = st[static_cast<std::size_t>(p.rank())];
     // Idempotent accumulation: every attempt restarts y from zero.
     std::fill(s.y->local().begin(), s.y->local().end(), 0.0);
-    const int P = p.nprocs();
     const f64 half = w.flops_per_edge / 2.0;
     for (int it = 0; it < kSweeps; ++it) {
       if (it == 1) {
         // Warm-sweep allocation window opens after the sizing sweep.
         rt::barrier(p);
         if (p.rank() == 0) {
-          warm_start = g_heap_allocs.load(std::memory_order_relaxed);
+          warm_start = bench::heap_allocs();
         }
       }
       core::EdgeReductionLoop::execute(
@@ -199,17 +159,10 @@ PipelineRun run_pipeline(rt::Machine& machine, const bench::Workload& w,
           [half](f64 a, f64 b) { return (a - b) * (a + b) * half; },
           [half](f64 a, f64 b) { return (b - a) * (a + b) * half; },
           w.flops_per_edge);
-      if (it == 0) {
-        // Ring heartbeat on the sizing sweep only: exercises both mailbox
-        // injection sites while keeping the warm window p2p-free (send/recv
-        // payloads allocate).
-        p.send_value<i64>((p.rank() + 1) % P, 7, static_cast<i64>(it));
-        (void)p.recv_value<i64>((p.rank() + P - 1) % P, 7);
-      }
     }
     rt::barrier(p);
     if (p.rank() == 0) {
-      warm_end = g_heap_allocs.load(std::memory_order_relaxed);
+      warm_end = bench::heap_allocs();
     }
     auto full = rt::gatherv<f64>(p, std::span<const f64>(s.y->local()), 0);
     if (p.rank() == 0) y_final = std::move(full);
@@ -242,7 +195,6 @@ struct SoakTotals {
   i64 fired_seeds = 0;
   i64 retries = 0;
   i64 recoveries = 0;
-  i64 messages_drained = 0;
   f64 backoff_wall_ms = 0.0;
   i64 by_kind[3] = {0, 0, 0};            // Throw / Stall / AllocFail
   i64 by_site[rt::kFaultSiteCount] = {};  // fired seeds per site
@@ -283,8 +235,6 @@ int main() {
   static constexpr u64 kNthRange[rt::kFaultSiteCount] = {
       40,  // BarrierArrive: every phase of every collective
       12,  // BlackboardPublish: pointer-mode collectives
-      1,   // MailboxPut: one heartbeat send per rank per execute attempt
-      1,   // MailboxRecv
       10,  // Alltoall: counts rounds (exchange_csr, redistribute, locate)
       8,   // AlltoallvFlat: payload rounds
   };
@@ -341,17 +291,15 @@ int main() {
     }
     totals.retries += r.stats.retries;
     totals.recoveries += r.stats.recoveries;
-    totals.messages_drained += r.stats.messages_drained;
     totals.backoff_wall_ms += r.stats.backoff_wall_ms;
     if (r.stats.attempts > max_attempts_seen) {
       max_attempts_seen = r.stats.attempts;
     }
     if ((s + 1) % 40 == 0) {
-      std::printf("  soak %3d/%d: %lld fired, %lld recovered, %lld drained "
-                  "messages, 0 divergences so far: %s\n",
+      std::printf("  soak %3d/%d: %lld fired, %lld recovered, 0 divergences "
+                  "so far: %s\n",
                   s + 1, kSeeds, static_cast<long long>(totals.fired_seeds),
                   static_cast<long long>(totals.recoveries),
-                  static_cast<long long>(totals.messages_drained),
                   totals.failures == 0 ? "yes" : "NO");
     }
   }
@@ -362,15 +310,14 @@ int main() {
   const PipelineRun after = run_pipeline(machine, w, policy);
 
   std::printf("\nsoak: %lld/%d seeds fired (Throw %lld, Stall %lld, AllocFail "
-              "%lld), %lld retries, %lld recoveries, %lld stale messages "
-              "drained, %.1f ms backoff wall-clock\n",
+              "%lld), %lld retries, %lld recoveries, %.1f ms backoff "
+              "wall-clock\n",
               static_cast<long long>(totals.fired_seeds), kSeeds,
               static_cast<long long>(totals.by_kind[0]),
               static_cast<long long>(totals.by_kind[1]),
               static_cast<long long>(totals.by_kind[2]),
               static_cast<long long>(totals.retries),
               static_cast<long long>(totals.recoveries),
-              static_cast<long long>(totals.messages_drained),
               totals.backoff_wall_ms);
 
   // --- JSON ------------------------------------------------------------------
@@ -386,13 +333,12 @@ int main() {
                  clean.warm_allocs);
     std::fprintf(f,
                  "  \"soak\": {\"fired_seeds\": %lld, \"retries\": %lld, "
-                 "\"recoveries\": %lld, \"messages_drained\": %lld, "
+                 "\"recoveries\": %lld, "
                  "\"backoff_wall_ms\": %.3f, \"max_attempts_per_seed\": %lld, "
                  "\"failures\": %lld,\n",
                  static_cast<long long>(totals.fired_seeds),
                  static_cast<long long>(totals.retries),
                  static_cast<long long>(totals.recoveries),
-                 static_cast<long long>(totals.messages_drained),
                  totals.backoff_wall_ms,
                  static_cast<long long>(max_attempts_seen),
                  static_cast<long long>(totals.failures));

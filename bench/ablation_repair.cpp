@@ -19,55 +19,16 @@
 //     fraction;
 //   - heap allocations per warm repair per rank (operator-new hook): 0.
 // Results go to BENCH_repair.json; every gate failure exits nonzero.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <unordered_set>
 #include <vector>
 
+#include "bench/alloc_hook.hpp"
 #include "bench/common.hpp"
 #include "core/forall.hpp"
 #include "dist/translation_cache.hpp"
-
-// --- global allocation counter ----------------------------------------------
-
-namespace {
-std::atomic<long long> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace bench = chaos::bench;
 namespace rt = chaos::rt;
@@ -219,7 +180,7 @@ FractionResult run_fraction(const bench::Workload& w, int delta_pct) {
 
     // --- warm measured window: gates G3 (modeled cost) and G4 (0 allocs).
     rt::barrier(p);
-    const long long allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+    const long long allocs0 = bench::heap_allocs();
     const auto w0 = std::chrono::steady_clock::now();
     rt::ClockSection section(p.clock());
     for (int i = 0; i < kRepairs; ++i) {
@@ -230,7 +191,7 @@ FractionResult run_fraction(const bench::Workload& w, int delta_pct) {
                   "repair bench: warm repair unexpectedly fell back");
     }
     rt::barrier(p);
-    const long long allocs1 = g_heap_allocs.load(std::memory_order_relaxed);
+    const long long allocs1 = bench::heap_allocs();
     const f64 wall =
         std::chrono::duration<f64>(std::chrono::steady_clock::now() - w0)
             .count();

@@ -10,53 +10,14 @@
 // seconds, and host wall throughput — written to BENCH_ttable.json so the
 // perf trajectory of the hot path is tracked from PR to PR. The full RCB
 // inspector pipeline page-size sweep rides along for context.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_hook.hpp"
 #include "bench/common.hpp"
 #include "dist/dereference_workspace.hpp"
-
-// --- global allocation counter ----------------------------------------------
-
-namespace {
-std::atomic<long long> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace bench = chaos::bench;
 namespace rt = chaos::rt;
@@ -124,14 +85,14 @@ ConfigResult run_config(const bench::Workload& w, i64 page, bool repl) {
     // dereference traffic, not machine construction or the table build —
     // and so the allocation window covers exactly the warm locate calls.
     rt::barrier(p);
-    const long long allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+    const long long allocs0 = bench::heap_allocs();
     const auto w0 = std::chrono::steady_clock::now();
     rt::ClockSection section(p.clock());
     for (int k = 0; k < kLocateCalls; ++k) {
       d->locate_into(p, queries, entries, ws);
     }
     rt::barrier(p);
-    const long long allocs1 = g_heap_allocs.load(std::memory_order_relaxed);
+    const long long allocs1 = bench::heap_allocs();
     const f64 modeled = rt::allreduce_max(p, section.elapsed_sec());
     if (p.is_root()) {
       r.modeled_seconds = modeled;

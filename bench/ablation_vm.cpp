@@ -11,56 +11,17 @@
 //      hook, two-point delta over timestep counts).
 // Modeled virtual times are deterministic; host wall time per warm sweep is
 // reported, not gated. Results go to BENCH_vm.json.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_hook.hpp"
 #include "bench/common.hpp"
 #include "lang/interp.hpp"
 #include "lang/parser.hpp"
 #include "lang/reference.hpp"
-
-// --- global allocation counter ----------------------------------------------
-
-namespace {
-std::atomic<long long> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace bench = chaos::bench;
 namespace rt = chaos::rt;
@@ -197,11 +158,11 @@ Result run_config(const lang::Program& prog, const bench::Workload& w,
 
   // Allocation delta: extra heap allocations of (kStepsWarm - kStepsCold)
   // warm sweeps; the cold build cancels out. One untimed run per point.
-  const long long a0 = g_heap_allocs.load(std::memory_order_relaxed);
+  const long long a0 = bench::heap_allocs();
   run_once(prog, in, cfg, kStepsCold, nullptr);
-  const long long a1 = g_heap_allocs.load(std::memory_order_relaxed);
+  const long long a1 = bench::heap_allocs();
   run_once(prog, in, cfg, kStepsWarm, nullptr);
-  const long long a2 = g_heap_allocs.load(std::memory_order_relaxed);
+  const long long a2 = bench::heap_allocs();
   r.allocs_per_sweep_per_rank =
       static_cast<f64>((a2 - a1) - (a1 - a0)) /
       (static_cast<f64>(kStepsWarm - kStepsCold) * static_cast<f64>(kProcs));

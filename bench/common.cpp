@@ -216,14 +216,7 @@ PhaseResult run_hand_pipeline(int procs, const Workload& w,
   result.shrinks = machine.shrink_count();
   result.schedule_repairs = totals.schedule_repairs;
   result.repair_fallbacks = totals.repair_fallbacks;
-  // A clean run must leave every mailbox shard empty: a nonzero per-shard
-  // breakdown here means a phase leaked messages it claims it consumed (the
-  // recover() footgun, DESIGN.md §12). recover_report() on a clean machine
-  // is a cheap no-op probe.
   if (supervisor.stats().attempts == 1) {
-    const rt::RecoverReport post = machine.recover_report();
-    CHAOS_CHECK(post.dirty_shards.empty(),
-                "clean bench run left messages in mailbox shards");
     // This pipeline never mutates an indirection array after inspection, so
     // the repair path must never fire (DESIGN.md §14).
     CHAOS_CHECK(totals.schedule_repairs == 0 && totals.repair_fallbacks == 0,
@@ -333,14 +326,7 @@ PhaseResult run_compiler_pipeline(int procs, const Workload& w,
   result.shrinks = machine.shrink_count();
   result.schedule_repairs = totals.schedule_repairs;
   result.repair_fallbacks = totals.repair_fallbacks;
-  // A clean run must leave every mailbox shard empty: a nonzero per-shard
-  // breakdown here means a phase leaked messages it claims it consumed (the
-  // recover() footgun, DESIGN.md §12). recover_report() on a clean machine
-  // is a cheap no-op probe.
   if (supervisor.stats().attempts == 1) {
-    const rt::RecoverReport post = machine.recover_report();
-    CHAOS_CHECK(post.dirty_shards.empty(),
-                "clean bench run left messages in mailbox shards");
     // The Figure 4 program never rewrites end_pt1/end_pt2 mid-run, so the
     // repair path must never fire (DESIGN.md §14).
     CHAOS_CHECK(totals.schedule_repairs == 0 && totals.repair_fallbacks == 0,

@@ -122,8 +122,8 @@ struct PhaseResult {
 /// Process-lifetime pooled machine, one per process count: benches sweeping
 /// many data points at the same P dispatch into the machine's parked worker
 /// pool instead of constructing (and thus spawning threads for) a Machine
-/// per point. run() resets stats/clocks/mailboxes, so results are identical
-/// to a fresh machine.
+/// per point. run() resets stats, clocks and barrier state, so results are
+/// identical to a fresh machine.
 [[nodiscard]] rt::Machine& pooled_machine(int procs);
 
 // --- table printing ---------------------------------------------------------

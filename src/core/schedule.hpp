@@ -218,7 +218,8 @@ struct CommSchedule {
   /// through @p scratch_indices / @p scratch_tombs (caller-owned, grow-only:
   /// warm repairs allocate nothing) and swaps into place; offsets are
   /// recomputed from the per-segment length deltas. Throws ScheduleInvalid
-  /// (SpliceMismatch) if a script disagrees with the live send side; call
+  /// (SpliceMismatch) if a script is malformed or disagrees with the live
+  /// send side, always before reading outside @p script_payload; call
   /// validate_or_throw afterwards for the full structural re-check.
   void splice_send(std::span<const i64> script_payload,
                    std::span<const i64> script_offsets,
@@ -228,6 +229,14 @@ struct CommSchedule {
     if (script_offsets.size() != np + 1) {
       throw ScheduleInvalid(
           "splice_send: script prefix does not match the schedule width",
+          ScheduleErrorCode::SpliceMismatch, 0);
+    }
+    // The prefix arrives from peers: it must slice exactly the payload.
+    if (script_offsets.front() != 0 ||
+        script_offsets.back() != static_cast<i64>(script_payload.size()) ||
+        !std::is_sorted(script_offsets.begin(), script_offsets.end())) {
+      throw ScheduleInvalid(
+          "splice_send: script prefix does not slice the payload",
           ScheduleErrorCode::SpliceMismatch, 0);
     }
     scratch_indices.clear();
@@ -247,8 +256,10 @@ struct CommSchedule {
         send_offsets[d + 1] = static_cast<i64>(scratch_indices.size());
         continue;
       }
+      // Each count is checked against the words left before anything it
+      // sizes is read: [ntomb] [ntomb tombstones] [nins] [2*nins words].
       const i64 ntomb = *s++;
-      if (s + ntomb > s_end) {
+      if (ntomb < 0 || ntomb > s_end - s) {
         throw ScheduleInvalid("splice_send: truncated tombstone list",
                               ScheduleErrorCode::SpliceMismatch,
                               static_cast<i64>(d));
@@ -256,13 +267,23 @@ struct CommSchedule {
       scratch_tombs.assign(s, s + ntomb);
       std::sort(scratch_tombs.begin(), scratch_tombs.end());
       s += ntomb;
+      if (s == s_end) {
+        throw ScheduleInvalid("splice_send: missing insertion count",
+                              ScheduleErrorCode::SpliceMismatch,
+                              static_cast<i64>(d));
+      }
       const i64 nins = *s++;
-      if (s + 2 * nins != s_end) {
+      if (nins != (s_end - s) / 2 || (s_end - s) % 2 != 0) {
         throw ScheduleInvalid("splice_send: truncated insertion list",
                               ScheduleErrorCode::SpliceMismatch,
                               static_cast<i64>(d));
       }
       const i64 new_len = static_cast<i64>(old_seg.size()) - ntomb + nins;
+      if (new_len < 0) {
+        throw ScheduleInvalid(
+            "splice_send: script removes more entries than the segment holds",
+            ScheduleErrorCode::SpliceMismatch, static_cast<i64>(d));
+      }
       const std::size_t base = scratch_indices.size();
       scratch_indices.resize(base + static_cast<std::size_t>(new_len));
       // One merge pass over final positions: take the next insertion when

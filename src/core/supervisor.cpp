@@ -60,14 +60,8 @@ void Supervisor::run_phase(const char* phase_name,
       const std::exception_ptr error = std::current_exception();
       ++failed;
       // Always recover: even on the escalation path the caller gets back a
-      // certified-clean machine, and both the drained-message total and the
-      // per-shard topology of every failed attempt are recorded.
-      const rt::RecoverReport report = machine_->recover_report();
-      stats_.messages_drained += report.messages_drained;
-      stats_.dirty_shards += static_cast<i64>(report.dirty_shards.size());
-      if (!report.dirty_shards.empty()) {
-        last_dirty_shards_ = report.dirty_shards;
-      }
+      // certified-clean machine.
+      machine_->recover();
       if (!rt::is_retryable(error)) {
         // Deterministic breakage (CHAOS_CHECK, logic bug) — no rank to
         // blame, nothing to degrade. Rethrown untyped, as before.

@@ -3,8 +3,8 @@
 //
 // A Supervisor wraps each pipeline phase (partition → inspect → execute) in
 // a run/classify/recover/backoff loop. The contract that makes retry sound
-// is split across the layers: Machine::recover() certifies no message or
-// epoch state leaks between attempts (rt/), the workspaces and plans are
+// is split across the layers: Machine::recover() certifies no barrier or
+// blackboard state leaks between attempts (rt/), the workspaces and plans are
 // exception-safe so a half-finished attempt can be thrown away (core/,
 // dist/), and phase bodies are written idempotent — each attempt rebuilds
 // its outputs from the previous phase's, never from its own partial state.
@@ -29,14 +29,9 @@ struct SupervisorStats {
   i64 retries = 0;          ///< attempts beyond each phase's first
   i64 recoveries = 0;       ///< phases that succeeded after >= 1 failure
   i64 gave_up = 0;          ///< phases escalated or rethrown (exhausted/fatal)
-  i64 messages_drained = 0; ///< undelivered messages Machine::recover dropped
-  i64 dirty_shards = 0;     ///< (dest, source) mailbox shards found dirty
   f64 backoff_wall_ms = 0.0;  ///< wall-clock slept between attempts
 
-  [[nodiscard]] bool clean() const {
-    return retries == 0 && gave_up == 0 && messages_drained == 0 &&
-           dirty_shards == 0;
-  }
+  [[nodiscard]] bool clean() const { return retries == 0 && gave_up == 0; }
 };
 
 /// Runs SPMD phase bodies on one Machine under a RetryPolicy. Not
@@ -62,24 +57,14 @@ class Supervisor {
                  const std::function<void(rt::Process&)>& body);
 
   [[nodiscard]] const SupervisorStats& stats() const { return stats_; }
-  /// Per-shard breakdown of the most recent failed attempt's drained
-  /// mailboxes (empty if every attempt so far was clean): which
-  /// (dest, source) pairs were mid-flight when the failure hit.
-  [[nodiscard]] const std::vector<rt::ShardDrain>& last_dirty_shards() const {
-    return last_dirty_shards_;
-  }
   [[nodiscard]] const rt::RetryPolicy& policy() const { return policy_; }
   [[nodiscard]] rt::Machine& machine() { return *machine_; }
-  void reset_stats() {
-    stats_ = SupervisorStats{};
-    last_dirty_shards_.clear();
-  }
+  void reset_stats() { stats_ = SupervisorStats{}; }
 
  private:
   rt::Machine* machine_;
   rt::RetryPolicy policy_;
   SupervisorStats stats_;
-  std::vector<rt::ShardDrain> last_dirty_shards_;
 };
 
 }  // namespace chaos::core

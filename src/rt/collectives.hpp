@@ -23,6 +23,7 @@
 #include <cstring>
 #include <numeric>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "rt/machine.hpp"

@@ -27,8 +27,6 @@ const char* fault_site_name(FaultSite site) {
   switch (site) {
     case FaultSite::BarrierArrive: return "barrier_arrive";
     case FaultSite::BlackboardPublish: return "blackboard_publish";
-    case FaultSite::MailboxPut: return "mailbox_put";
-    case FaultSite::MailboxRecv: return "mailbox_recv";
     case FaultSite::Alltoall: return "alltoall";
     case FaultSite::AlltoallvFlat: return "alltoallv_flat";
   }

@@ -24,17 +24,16 @@ namespace chaos::rt {
 
 class Machine;
 
-/// The named instrumentation points of the substrate. Each is visited by
-/// exactly one rank per call (the rank passed to inject_point).
+/// The named instrumentation points of the substrate: every edge a
+/// pipeline crosses between ranks. Each is visited by exactly one rank per
+/// call (the rank passed to inject_point).
 enum class FaultSite : u8 {
   BarrierArrive = 0,   ///< Machine::barrier_reduce_max entry (every phase)
   BlackboardPublish,   ///< detail::bb_publish_ptr (pointer-mode collectives)
-  MailboxPut,          ///< Process::send, before the mailbox deposit
-  MailboxRecv,         ///< Process::recv/recv_deadline, before the take
   Alltoall,            ///< rt::alltoall entry (the counts round)
   AlltoallvFlat,       ///< rt::alltoallv_flat entry (the payload round)
 };
-inline constexpr int kFaultSiteCount = 6;
+inline constexpr int kFaultSiteCount = 4;
 [[nodiscard]] const char* fault_site_name(FaultSite site);
 
 enum class FaultKind : u8 {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <chrono>
+#include <cstring>
 
 namespace chaos::rt {
 
@@ -43,11 +44,6 @@ Machine::Machine(int nprocs, CostParams params)
       final_clock_us_(static_cast<std::size_t>(nprocs), 0.0),
       active_nprocs_(nprocs) {
   CHAOS_CHECK(nprocs >= 1, "machine needs at least one process");
-  mailboxes_.reserve(static_cast<std::size_t>(nprocs));
-  for (int r = 0; r < nprocs; ++r) {
-    mailboxes_.push_back(
-        std::make_unique<Mailbox>(nprocs, poisoned_, poisoned_waits_));
-  }
   workers_.reserve(static_cast<std::size_t>(nprocs > 1 ? nprocs - 1 : 0));
   for (int r = 1; r < nprocs; ++r) {
     workers_.emplace_back(&Machine::worker_loop, this, r);
@@ -184,13 +180,11 @@ void Machine::poison() {
   // values themselves (a bare notify racing a waiter about to sleep would
   // be missed); the sentinel satisfies any epoch target and wait_epoch
   // rechecks the flag on return. The stores are seq_cst for the same
-  // lost-wakeup reason as the barrier release. Mailbox waiters sit on
-  // condvars.
+  // lost-wakeup reason as the barrier release.
   release_[0].epoch.store(kPoisonEpoch, std::memory_order_seq_cst);
   release_[1].epoch.store(kPoisonEpoch, std::memory_order_seq_cst);
   release_[0].epoch.notify_all();
   release_[1].epoch.notify_all();
-  for (auto& mb : mailboxes_) mb->poison_wake();
 }
 
 void Machine::execute(int rank, const std::function<void(Process&)>& body) {
@@ -235,25 +229,14 @@ void Machine::worker_loop(int rank) {
   }
 }
 
-RecoverReport Machine::recover_report() {
+void Machine::recover() {
   // Workers are parked (the previous run's completion handshake went
   // through pool_mutex_), so plain writes here are ordered before their
   // next dispatch by the same mutex. Everything a failed run can leave
-  // dirty is reset: mailbox shards (counted per (dest, source) — these are
-  // the undelivered in-flight messages), barrier pass counters and cells
-  // (a poisoned run abandons passes mid-fold), the sentinel-stamped
-  // release words, the blackboard bytes (a thrower may have deposited into
-  // a slot no one read), and the poison flag + stored first error.
-  RecoverReport report;
-  std::vector<i64> per_source(static_cast<std::size_t>(nprocs_), 0);
-  for (int dest = 0; dest < nprocs_; ++dest) {
-    report.messages_drained +=
-        mailboxes_[static_cast<std::size_t>(dest)]->drain(per_source);
-    for (int src = 0; src < nprocs_; ++src) {
-      const i64 n = per_source[static_cast<std::size_t>(src)];
-      if (n > 0) report.dirty_shards.push_back({dest, src, n});
-    }
-  }
+  // dirty is reset: barrier pass counters and cells (a poisoned run
+  // abandons passes mid-fold), the sentinel-stamped release words, the
+  // blackboard bytes (a thrower may have deposited into a slot no one
+  // read), and the poison flag + stored first error.
   for (auto& rs : rank_state_) {
     rs.barrier_epoch.store(0, std::memory_order_relaxed);
   }
@@ -271,7 +254,6 @@ RecoverReport Machine::recover_report() {
     first_error_ = nullptr;
   }
   poisoned_.store(false, std::memory_order_relaxed);
-  return report;
 }
 
 void Machine::shrink_to(int n) {
@@ -288,7 +270,7 @@ void Machine::restore_full_width() {
 }
 
 void Machine::reset_for_run() {
-  (void)recover();
+  recover();
   faults_injected_.store(0, std::memory_order_relaxed);
   timeouts_.store(0, std::memory_order_relaxed);
   poisoned_waits_.store(0, std::memory_order_relaxed);
@@ -331,7 +313,7 @@ void Machine::run(int nprocs, const std::function<void(Process&)>& body,
 MessageStats Machine::total_stats() const {
   MessageStats total;
   for (const auto& s : stats_) total += s;
-  // The robustness events fire inside Machine/Mailbox waits, below the
+  // The robustness events fire inside Machine waits, below the
   // per-Process stats objects, so they are tracked machine-wide and folded
   // into the aggregate here.
   total.faults_injected = faults_injected_.load(std::memory_order_relaxed);

@@ -3,8 +3,8 @@
 // Machine::run dispatches the SPMD body into the pool and executes rank 0
 // inline, so back-to-back runs reuse the same threads instead of paying a
 // spawn/join per call. Each rank receives a Process& handle that exposes
-// rank/size, typed point-to-point messaging, a parity double-buffered
-// blackboard used by the collective templates in rt/collectives.hpp, a
+// rank/size, a parity double-buffered blackboard used by the collective
+// templates in rt/collectives.hpp (the only way ranks exchange data), a
 // VirtualClock, and traffic statistics. Synchronization is an atomics-based
 // combining barrier with the virtual-clock max-reduction fused into its
 // arrival fold — no mutex anywhere on the fast path, spin-then-yield-then-
@@ -17,19 +17,14 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstring>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "rt/cost_model.hpp"
 #include "rt/fault.hpp"
-#include "rt/mailbox.hpp"
 #include "rt/stats.hpp"
 #include "rt/types.hpp"
 
@@ -37,26 +32,17 @@ namespace chaos::rt {
 
 class Process;
 
-/// One dirty mailbox shard found by Machine::recover_report: @p messages
-/// undelivered messages from @p source were still queued at @p dest when the
-/// failed run was cleaned up.
-struct ShardDrain {
-  int dest = -1;
-  int source = -1;
-  i64 messages = 0;
-};
-
-/// What Machine::recover_report swept up after a failed run. A clean run
-/// leaves dirty_shards empty; the table benches assert exactly that.
+/// Vestigial: benchmark/src/workloads.cpp still checks
+/// `recover_report().dirty_shards.empty()` after every job. The machine
+/// holds no message queues, so nothing can be left dirty: always empty.
 struct RecoverReport {
-  i64 messages_drained = 0;        ///< total undelivered messages dropped
-  std::vector<ShardDrain> dirty_shards;  ///< every nonempty (dest, source)
+  std::vector<int> dirty_shards;
 };
 
-/// Owns the shared state of one SPMD execution: the worker pool, mailboxes,
-/// the combining barrier, blackboard slots for collectives, and cost
-/// parameters. Reusable: run() may be called any number of times; stats,
-/// clocks, poison state, and mailboxes are reset between runs.
+/// Owns the shared state of one SPMD execution: the worker pool, the
+/// combining barrier, blackboard slots for collectives, and cost parameters.
+/// Reusable: run() may be called any number of times; stats, clocks, and
+/// poison state are reset between runs.
 class Machine {
  public:
   explicit Machine(int nprocs, CostParams params = {});
@@ -67,35 +53,32 @@ class Machine {
 
   /// Runs @p body as rank 0..nprocs-1 concurrently; returns when all ranks
   /// finish. The first exception thrown by any rank is rethrown here; the
-  /// machine poisons the barrier AND every mailbox, so ranks blocked in
-  /// collectives or in recv are released with MachinePoisoned instead of
-  /// deadlocking.
+  /// machine poisons the barrier, so ranks blocked in collectives are
+  /// released with MachinePoisoned instead of deadlocking.
   void run(const std::function<void(Process&)>& body);
 
   /// One-shot convenience: construct, run, tear down.
   static void run(int nprocs, const std::function<void(Process&)>& body,
                   CostParams params = {});
 
-  /// Restores a poisoned or timed-out machine to a runnable state: drains
-  /// every mailbox shard (returning the number of undelivered in-flight
-  /// messages dropped), resets barrier epochs, arrival cells, release words
-  /// and blackboard bytes, and clears the poison flag plus the stored first
-  /// error. Callable only between runs (workers parked). run() performs the
-  /// same reset on entry, so recover() is about OBSERVABILITY and intent:
-  /// a supervisor calls it to count what a failed attempt left behind and
-  /// to certify the machine clean before retrying. It does NOT touch the
+  /// Restores a poisoned or timed-out machine to a runnable state: resets
+  /// barrier epochs, arrival cells, release words and blackboard bytes, and
+  /// clears the poison flag plus the stored first error. Callable only
+  /// between runs (workers parked). run() performs the same reset on entry;
+  /// a supervisor calls recover() to hand back a clean machine after a
+  /// failed attempt even when it does not retry. It does NOT touch the
   /// installed fault plan, the deadline, the monotonic counter, or the
   /// previous run's stats/clocks (still readable for post-mortem until the
   /// next run()).
-  i64 recover() { return recover_report().messages_drained; }
+  void recover();
 
-  /// As recover(), but returns the full per-shard breakdown: which
-  /// (destination, source) mailbox shards were dirty and how many messages
-  /// each held. recover()'s bare total silently hid the topology of a
-  /// failure — a supervisor deciding whether a rank is dead wants to know
-  /// WHO was mid-send to whom, and a clean-run bench wants to assert that
-  /// no shard at all was dirty, not just that the sum was zero.
-  RecoverReport recover_report();
+  /// recover(), plus an always-empty report. Kept only for
+  /// benchmark/src/workloads.cpp, which asserts the report is empty after
+  /// every job; nothing in src/, bench/ or tests/ calls it.
+  RecoverReport recover_report() {
+    recover();
+    return {};
+  }
 
   [[nodiscard]] int nprocs() const { return nprocs_; }
 
@@ -103,9 +86,9 @@ class Machine {
 
   /// Number of ranks the next run() will execute. Starts at nprocs() and is
   /// narrowed by shrink_to() after a permanent rank failure; every Process
-  /// reports this as its nprocs(), so collectives, mailbox bounds checks,
-  /// and barrier arithmetic all operate on the dense surviving set
-  /// [0, active_nprocs) without reconstructing the machine.
+  /// reports this as its nprocs(), so collectives and barrier arithmetic
+  /// operate on the dense surviving set [0, active_nprocs) without
+  /// reconstructing the machine.
   [[nodiscard]] int active_nprocs() const {
     return active_nprocs_.load(std::memory_order_relaxed);
   }
@@ -113,11 +96,11 @@ class Machine {
   /// Declares ranks [n, active_nprocs) dead: subsequent runs execute only
   /// the n survivors (their worker threads stay parked; dispatch wakes them
   /// and inactive ranks immediately report done). Callable only between
-  /// runs. Survivor state (mailboxes, blackboard, barrier cells) is indexed
-  /// by logical rank and the surviving set stays dense, so nothing is
-  /// reallocated. Does NOT touch the installed fault plan — a plan keyed to
-  /// the old logical rank numbering is the caller's to uninstall first (the
-  /// degrade drivers do exactly that on PermanentFault).
+  /// runs. Survivor state (blackboard, barrier cells) is indexed by logical
+  /// rank and the surviving set stays dense, so nothing is reallocated.
+  /// Does NOT touch the installed fault plan — a plan keyed to the old
+  /// logical rank numbering is the caller's to uninstall first (the degrade
+  /// drivers do exactly that on PermanentFault).
   void shrink_to(int n);
 
   /// Undoes every shrink: the next run executes all nprocs() ranks again.
@@ -162,10 +145,10 @@ class Machine {
     plan->on_visit(*this, site, rank);
   }
 
-  /// Arms the watchdog: a barrier arrival or a default-deadline recv that
-  /// waits longer than @p seconds of wall-clock throws MachineTimeout
-  /// naming the missing ranks, barrier epoch, and virtual clock; the
-  /// timeout then poisons the siblings exactly like MachinePoisoned.
+  /// Arms the watchdog: a barrier arrival that waits longer than
+  /// @p seconds of wall-clock throws MachineTimeout naming the missing
+  /// ranks, barrier epoch, and virtual clock; the timeout then poisons the
+  /// siblings exactly like MachinePoisoned.
   /// 0 (the default) disables all deadlines — the substrate waits forever
   /// and the futex fast path is byte-for-byte the pre-watchdog one.
   void set_deadline_sec(f64 seconds) {
@@ -225,10 +208,6 @@ class Machine {
     return bb_[static_cast<std::size_t>(rank) * 2 + (seq & 1)].buf;
   }
 
-  Mailbox& mailbox(int rank) {
-    return *mailboxes_[static_cast<std::size_t>(rank)];
-  }
-
   /// Monotonic counter advanced collectively (rank 0 bumps, all observe via
   /// broadcast); used to mint machine-wide unique ids such as DAD
   /// incarnations. Atomic so cross-run reuse needs no external ordering.
@@ -285,7 +264,7 @@ class Machine {
 
   void worker_loop(int rank);
   /// Runs @p body as @p rank, records stats/clock, and on exception stores
-  /// the first error and poisons barrier + mailboxes.
+  /// the first error and poisons the barrier.
   void execute(int rank, const std::function<void(Process&)>& body);
   void poison();
   void reset_for_run();
@@ -294,7 +273,6 @@ class Machine {
   int spin_limit_;   ///< pause-spins before yielding; 0 when oversubscribed
   int yield_limit_;  ///< yields before the futex sleep; 0 when oversubscribed
   CostParams params_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   ArrivalCell arrival_[2];                   // combining cells, [parity]
   BarrierSlot release_[2];                   // broadcast words, [parity]
   std::vector<BlackboardSlot> bb_;           // [rank][parity]
@@ -342,8 +320,8 @@ class Process {
 
   [[nodiscard]] int rank() const { return rank_; }
   /// The ACTIVE machine width: after a shrink this is the surviving count,
-  /// so every collective, send/recv bounds check, and distribution built
-  /// from this handle automatically spans only the dense surviving set.
+  /// so every collective and distribution built from this handle
+  /// automatically spans only the dense surviving set.
   [[nodiscard]] int nprocs() const { return machine_->active_nprocs(); }
   [[nodiscard]] bool is_root() const { return rank_ == 0; }
   [[nodiscard]] Machine& machine() { return *machine_; }
@@ -352,82 +330,6 @@ class Process {
   VirtualClock& clock() { return clock_; }
   [[nodiscard]] const VirtualClock& clock() const { return clock_; }
   MessageStats& stats() { return stats_; }
-
-  /// Sends @p data to @p dest with matching @p tag. T must be trivially
-  /// copyable (messages cross logical address spaces by value).
-  template <typename T>
-  void send(int dest, int tag, std::span<const T> data) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    CHAOS_CHECK(dest >= 0 && dest < nprocs(), "send: bad destination rank");
-    machine_->inject_point(FaultSite::MailboxPut, rank_);
-    const i64 bytes = static_cast<i64>(data.size_bytes());
-    clock_.charge(params().send_us(bytes));
-    stats_.note_send(bytes);
-    RawMessage msg;
-    msg.source = rank_;
-    msg.tag = tag;
-    msg.ready_time_us = clock_.now_us();
-    msg.payload.resize(data.size_bytes());
-    if (!data.empty()) {
-      std::memcpy(msg.payload.data(), data.data(), data.size_bytes());
-    }
-    machine_->mailbox(dest).put(std::move(msg));
-  }
-
-  template <typename T>
-  void send_value(int dest, int tag, const T& value) {
-    send<T>(dest, tag, std::span<const T>(&value, 1));
-  }
-
-  /// Blocking matched receive of a whole message from @p source. Honors the
-  /// machine's default deadline (Machine::set_deadline_sec); with none set,
-  /// waits forever.
-  template <typename T>
-  std::vector<T> recv(int source, int tag) {
-    return recv_deadline<T>(source, tag, machine_->deadline_sec());
-  }
-
-  /// As recv(), but gives up after @p deadline_sec wall seconds with a
-  /// typed MachineTimeout (missing rank = @p source, epoch 0, this rank's
-  /// virtual clock). The timeout propagates out of the SPMD body and
-  /// poisons the siblings exactly like MachinePoisoned, so a service can
-  /// bound how long a lost message stalls the fleet. deadline_sec <= 0
-  /// waits forever.
-  template <typename T>
-  std::vector<T> recv_deadline(int source, int tag, f64 deadline_sec) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    CHAOS_CHECK(source >= 0 && source < nprocs(), "recv: bad source rank");
-    machine_->inject_point(FaultSite::MailboxRecv, rank_);
-    RawMessage msg;
-    if (!machine_->mailbox(rank_).take_deadline(source, tag, deadline_sec,
-                                                msg)) {
-      machine_->note_timeout();
-      std::ostringstream os;
-      os << "recv deadline expired: rank " << rank_ << " waited "
-         << deadline_sec << "s for a message from rank " << source
-         << " (tag " << tag << ", virtual clock " << clock_.now_us()
-         << "us)";
-      throw MachineTimeout(os.str(), {source}, /*epoch=*/0, clock_.now_us());
-    }
-    CHAOS_CHECK(msg.payload.size() % sizeof(T) == 0,
-                "recv: payload size does not match element type");
-    const i64 bytes = static_cast<i64>(msg.payload.size());
-    clock_.advance_to(msg.ready_time_us);
-    clock_.charge(params().recv_us(bytes));
-    stats_.note_recv(bytes);
-    std::vector<T> out(msg.payload.size() / sizeof(T));
-    if (!out.empty()) {
-      std::memcpy(out.data(), msg.payload.data(), msg.payload.size());
-    }
-    return out;
-  }
-
-  template <typename T>
-  T recv_value(int source, int tag) {
-    auto v = recv<T>(source, tag);
-    CHAOS_CHECK(v.size() == 1, "recv_value: expected single-element message");
-    return v.front();
-  }
 
   /// Raw synchronization phase with no clock effect (building block for the
   /// collectives' read-done fences; user code should call

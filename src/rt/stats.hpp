@@ -10,6 +10,9 @@ namespace chaos::rt {
 /// Plain per-process counters (each process only touches its own instance, so
 /// no atomics are needed; aggregation happens after the SPMD region joins).
 struct MessageStats {
+  /// Messages and bytes a real hypercube would move for each collective,
+  /// counted by rt/collectives.hpp beside its modeled charge.
+  /// benchmark/src/trace.cpp reads the send pair.
   i64 messages_sent = 0;
   i64 bytes_sent = 0;
   i64 messages_received = 0;
@@ -37,7 +40,7 @@ struct MessageStats {
   /// blocked waits released by poison instead of completing. Table runs must
   /// show all three at zero by construction; the fault sweep shows them
   /// nonzero. Aggregated into total_stats() only (the events happen inside
-  /// Machine/Mailbox waits, below the per-Process stats objects).
+  /// Machine waits, below the per-Process stats objects).
   i64 faults_injected = 0;
   i64 timeouts = 0;
   i64 poisoned_waits = 0;

@@ -25,23 +25,22 @@ class ChaosError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Thrown out of blocked barrier and mailbox waits when a sibling logical
-/// process of the same Machine has thrown: instead of deadlocking, every
-/// waiter is released with this error and Machine::run rethrows the
-/// sibling's original exception.
+/// Thrown out of blocked barrier waits when a sibling logical process of the
+/// same Machine has thrown: instead of deadlocking, every waiter is released
+/// with this error and Machine::run rethrows the sibling's original
+/// exception.
 class MachinePoisoned : public ChaosError {
  public:
   using ChaosError::ChaosError;
 };
 
-/// Thrown when a blocked wait (barrier arrival watchdog, deadline-bearing
-/// recv) exceeds the machine's configured deadline: some sibling rank is
-/// stuck, too slow, or never going to send. Carries which ranks were still
-/// missing, the barrier pass (0 for point-to-point waits), and the waiting
-/// rank's virtual clock, so a long-running service can report exactly who
-/// stalled instead of hanging. Peers are subsequently poisoned exactly as
-/// for MachinePoisoned (the timeout propagates out of the SPMD body and
-/// Machine::execute poisons barrier + mailboxes).
+/// Thrown when a barrier arrival waits longer than the machine's configured
+/// deadline: some sibling rank is stuck, too slow, or never going to
+/// arrive. Carries which ranks were still missing, the barrier pass, and
+/// the waiting rank's virtual clock, so a long-running service can report
+/// exactly who stalled instead of hanging. Peers are subsequently poisoned
+/// exactly as for MachinePoisoned (the timeout propagates out of the SPMD
+/// body and Machine::execute poisons the barrier).
 class MachineTimeout : public ChaosError {
  public:
   MachineTimeout(const std::string& what, std::vector<int> missing_ranks,
@@ -51,8 +50,8 @@ class MachineTimeout : public ChaosError {
         epoch(epoch),
         virtual_time_us(virtual_time_us) {}
 
-  std::vector<int> missing_ranks;  ///< ranks that had not arrived / sent
-  u32 epoch = 0;                   ///< barrier pass number (0: not a barrier)
+  std::vector<int> missing_ranks;  ///< ranks that had not arrived
+  u32 epoch = 0;                   ///< barrier pass number
   f64 virtual_time_us = 0.0;       ///< waiter's virtual clock at the timeout
 };
 

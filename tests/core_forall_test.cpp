@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -65,10 +66,14 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(core::IterRule::MostLocalReferences,
                                          core::IterRule::OwnerComputes)),
     [](const auto& info) {
-      return "P" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == core::IterRule::MostLocalReferences
+      // Built by appending: GCC 12 reports a false -Wrestrict for a string
+      // literal + std::string temporary.
+      std::string name = "P";
+      name += std::to_string(std::get<0>(info.param));
+      name += std::get<1>(info.param) == core::IterRule::MostLocalReferences
                   ? "_majority"
-                  : "_owner");
+                  : "_owner";
+      return name;
     });
 
 TEST_P(ForallSweep, EdgeReductionMatchesSerialReference) {

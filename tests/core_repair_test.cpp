@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/forall.hpp"
 #include "core/mapper.hpp"
 #include "core/plan_options.hpp"
 #include "core/reuse.hpp"
+#include "core/schedule.hpp"
 #include "rt/collectives.hpp"
 #include "workload/rng.hpp"
 
@@ -475,4 +477,77 @@ TEST(ScheduleRepair, SingleStatementRepairMatchesSerial) {
       EXPECT_GE(p.stats().schedule_repairs, 1);
     });
   }
+}
+
+// --- splice_send against malformed repair scripts ---------------------------
+
+namespace {
+
+/// A P = 2 send side: segment 0 packs locals {4, 9} for rank 0 and segment 1
+/// packs {2} for rank 1. Every script below edits segment 0 or corrupts the
+/// prefix; segment 1's script is empty.
+core::CommSchedule two_rank_send_side() {
+  core::CommSchedule s;
+  s.send_indices = {4, 9, 2};
+  s.send_offsets = {0, 2, 3};
+  s.recv_offsets = {0, 0, 0};
+  s.nlocal_at_build = 10;
+  return s;
+}
+
+struct BadScript {
+  const char* name;
+  std::vector<i64> payload;
+  std::vector<i64> offsets;
+  const char* message;  ///< part of the ScheduleInvalid text it must raise
+};
+
+}  // namespace
+
+TEST(SpliceSend, RejectsEveryMalformedScriptWithATypedError) {
+  // A script arrives from a peer, so each malformation must end in
+  // ScheduleInvalid(SpliceMismatch) before any read outside the payload;
+  // the sanitizer builds run this table too.
+  const BadScript cases[] = {
+      {"prefix narrower than the schedule", {}, {0, 0}, "schedule width"},
+      {"prefix not zero-based", {0, 0, 0}, {1, 3, 3}, "does not slice"},
+      {"prefix decreases", {0}, {0, 2, 1}, "does not slice"},
+      {"prefix overruns the payload", {0, 0}, {0, 2, 3}, "does not slice"},
+      {"negative tombstone count", {-1, 0}, {0, 2, 2},
+       "truncated tombstone list"},
+      {"tombstones overrun the script", {3, 4, 9}, {0, 3, 3},
+       "truncated tombstone list"},
+      {"insertion count missing", {0}, {0, 1, 1}, "missing insertion count"},
+      {"insertion list truncated", {0, 2, 0, 7}, {0, 4, 4},
+       "truncated insertion list"},
+      {"more tombstones than entries", {3, 4, 9, 11, 0}, {0, 5, 5},
+       "removes more entries"},
+      {"insertion past the new segment", {1, 4, 1, 5, 7}, {0, 5, 5},
+       "consumed the old segment early"},
+      {"tombstone not in the segment", {1, 5, 0}, {0, 3, 3},
+       "disagree on the edit set"},
+  };
+  for (const BadScript& c : cases) {
+    SCOPED_TRACE(c.name);
+    core::CommSchedule sched = two_rank_send_side();
+    std::vector<i64> scratch, tombs;
+    try {
+      sched.splice_send(c.payload, c.offsets, scratch, tombs);
+      ADD_FAILURE() << "accepted a malformed script";
+    } catch (const core::ScheduleInvalid& e) {
+      EXPECT_EQ(e.code, core::ScheduleErrorCode::SpliceMismatch);
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // The same send side takes a well-formed script: tombstone 4, insert 7 at
+  // position 1.
+  core::CommSchedule sched = two_rank_send_side();
+  std::vector<i64> scratch, tombs;
+  const std::vector<i64> payload{1, 4, 1, 1, 7};
+  const std::vector<i64> offsets{0, 5, 5};
+  sched.splice_send(payload, offsets, scratch, tombs);
+  EXPECT_EQ(sched.send_indices, (std::vector<i64>{9, 7, 2}));
+  EXPECT_EQ(sched.send_offsets, (std::vector<i64>{0, 2, 3}));
 }

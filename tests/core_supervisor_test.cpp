@@ -201,36 +201,34 @@ TEST(Supervisor, FatalErrorsAreNotRetried) {
   EXPECT_EQ(sup.stats().gave_up, 1);
 }
 
-TEST(Supervisor, DrainsInFlightMessagesOfTheFailedAttempt) {
+TEST(Supervisor, RetryReadsOnlyWhatTheRetryPublished) {
   rt::Machine machine(4);
   rt::FaultPlan plan(4);
   plan.add({rt::FaultSite::BarrierArrive, rt::FaultKind::Throw, /*rank=*/2,
             /*nth_visit=*/1});
   machine.install_fault_plan(&plan);
   core::Supervisor sup(machine, kFastRetry);
-  sup.run_phase("phase", [](rt::Process& p) {
-    // Attempt 1 parks two undelivered messages before rank 2 fails at the
-    // barrier; the retry re-sends and this time rank 0 consumes them.
-    if (p.rank() == 1) {
-      p.send_value<int>(0, /*tag=*/9, 41);
-      p.send_value<int>(0, /*tag=*/9, 42);
-    }
-    rt::barrier(p);
-    if (p.rank() == 0) {
-      EXPECT_EQ(p.recv_value<int>(1, 9), 41);
-      EXPECT_EQ(p.recv_value<int>(1, 9), 42);
-    }
+  std::vector<std::vector<i64>> seen(4);
+  sup.run_phase("phase", [&](rt::Process& p) {
+    // Attempt 1: rank 1 publishes its payload, then rank 2 dies at the
+    // broadcast's barrier before anyone reads it. The retry publishes a
+    // fresh payload, and that is the only one any rank may read.
+    const i64 attempt = sup.stats().attempts;
+    std::vector<i64> payload;
+    if (p.rank() == 1) payload = {40 + attempt, 50 + attempt};
+    seen[static_cast<std::size_t>(p.rank())] =
+        rt::broadcast_vec(p, payload, /*root=*/1);
   });
   machine.install_fault_plan(nullptr);
+  EXPECT_EQ(sup.stats().attempts, 2);
   EXPECT_EQ(sup.stats().retries, 1);
-  EXPECT_EQ(sup.stats().messages_drained, 2);
-  // The per-shard breakdown names exactly WHICH pair was mid-flight: both
-  // undelivered messages sat in rank 0's mailbox shard for source rank 1.
-  EXPECT_EQ(sup.stats().dirty_shards, 1);
-  ASSERT_EQ(sup.last_dirty_shards().size(), 1u);
-  EXPECT_EQ(sup.last_dirty_shards()[0].dest, 0);
-  EXPECT_EQ(sup.last_dirty_shards()[0].source, 1);
-  EXPECT_EQ(sup.last_dirty_shards()[0].messages, 2);
+  EXPECT_EQ(sup.stats().recoveries, 1);
+  EXPECT_FALSE(sup.stats().clean());
+  EXPECT_FALSE(machine.is_poisoned());
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(r)], (std::vector<i64>{42, 52}))
+        << "rank " << r;
+  }
 }
 
 TEST(Supervisor, ThrowWithArmedAllocFailRetriesExactlyOnce) {

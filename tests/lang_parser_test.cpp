@@ -194,7 +194,7 @@ TEST(Parser, RejectsUnknownStatementsAndBadReduce) {
 
 TEST(Parser, ErrorsCarryLineNumbers) {
   try {
-    lang::compile("\n\nC$ DISTRIBUTE reg BLOCK\n");
+    (void)lang::compile("\n\nC$ DISTRIBUTE reg BLOCK\n");
     FAIL() << "expected LangError";
   } catch (const lang::LangError& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
@@ -207,7 +207,7 @@ TEST(Parser, ErrorsRenderLineAndColumn) {
   // the raw source line (the C$ sentinel is blanked, not stripped, so
   // directive columns stay aligned with the file).
   try {
-    lang::compile("\n\nC$ DISTRIBUTE reg BLOCK\n");
+    (void)lang::compile("\n\nC$ DISTRIBUTE reg BLOCK\n");
     FAIL() << "expected LangError";
   } catch (const lang::LangError& e) {
     // "BLOCK" starts at column 19 of the raw line, where '(' was expected.
@@ -215,7 +215,7 @@ TEST(Parser, ErrorsRenderLineAndColumn) {
   }
 
   try {
-    lang::compile(R"(
+    (void)lang::compile(R"(
       FORALL i = 1, n
         y(i) = x(i) +
       END FORALL

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <new>
 #include <string>
 #include <vector>
@@ -49,16 +50,28 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+// Out of line, so GCC cannot inline a delete next to the std::vector
+// allocation it frees and mistake the malloc/free pair for new/free.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t,
+                                         std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -91,20 +104,15 @@ const char* outcome_name(Outcome o) {
 }
 
 /// One SPMD body visiting every injection site at least once per rank: a
-/// barrier (BarrierArrive), a ring send/recv (MailboxPut, MailboxRecv), an
-/// alltoall (Alltoall, and BlackboardPublish via its pointer publish), an
-/// alltoallv_flat, and a closing barrier. The closing barrier gates
-/// completion: no rank can report kCompleted unless EVERY rank survived the
-/// whole body, so a "victim died but a peer finished anyway" bug shows up as
-/// a wrong outcome, not a flake.
+/// barrier (BarrierArrive), an alltoall (Alltoall, and BlackboardPublish via
+/// its pointer publish), an alltoallv_flat, and a closing barrier. The
+/// closing barrier gates completion: no rank can report kCompleted unless
+/// EVERY rank survived the whole body, so a "victim died but a peer
+/// finished anyway" bug shows up as a wrong outcome, not a flake.
 void exercise(rt::Process& p) {
   const int P = p.nprocs();
   const int r = p.rank();
   rt::barrier(p);
-  const int next = (r + 1) % P;
-  const int prev = (r + P - 1) % P;
-  p.send_value<int>(next, /*tag=*/5, r);
-  EXPECT_EQ(p.recv_value<int>(prev, 5), prev);
   std::vector<i64> counts(static_cast<std::size_t>(P), 1);
   std::vector<i64> peers(static_cast<std::size_t>(P), 0);
   rt::alltoall<i64>(p, counts, peers);
@@ -177,10 +185,12 @@ SweepResult run_case(rt::FaultSite site, rt::FaultKind kind, int victim,
 }
 
 constexpr rt::FaultSite kSites[] = {
-    rt::FaultSite::BarrierArrive,  rt::FaultSite::BlackboardPublish,
-    rt::FaultSite::MailboxPut,     rt::FaultSite::MailboxRecv,
-    rt::FaultSite::Alltoall,       rt::FaultSite::AlltoallvFlat,
+    rt::FaultSite::BarrierArrive,
+    rt::FaultSite::BlackboardPublish,
+    rt::FaultSite::Alltoall,
+    rt::FaultSite::AlltoallvFlat,
 };
+static_assert(std::size(kSites) == rt::kFaultSiteCount);
 constexpr rt::FaultKind kKinds[] = {
     rt::FaultKind::Throw,
     rt::FaultKind::Delay,
@@ -191,11 +201,11 @@ constexpr rt::FaultKind kKinds[] = {
 
 }  // namespace
 
-// The tentpole sweep: every site x kind x victim rank. 120 independent runs;
+// The sweep: every site x kind x victim rank. 80 independent runs;
 // each must terminate with the expected per-rank outcome vector.
 TEST(FaultSweep, EverySiteKindRankTerminatesWithTypedErrors) {
   // Long enough to never fire spuriously on a loaded/sanitized host, short
-  // enough that the 24 stall cases keep the sweep in CI budget.
+  // enough that the 16 stall cases keep the sweep in CI budget.
   constexpr f64 kStallDeadlineSec = 0.5;
   for (const rt::FaultSite site : kSites) {
     for (const rt::FaultKind kind : kKinds) {
@@ -280,7 +290,7 @@ TEST(FaultPlan, PermanentFiresOnEveryVisitFromTheNthOnward) {
       EXPECT_EQ(f.site, static_cast<int>(rt::FaultSite::BarrierArrive));
     }
     EXPECT_TRUE(injected) << "run " << run << " should have been killed";
-    (void)machine.recover();
+    machine.recover();
   }
   EXPECT_EQ(plan.fired(), 3);
   machine.install_fault_plan(nullptr);
@@ -327,32 +337,6 @@ TEST(FaultPlan, SeededDelaysAreDeterministic) {
     EXPECT_EQ(plan.fired(), kP);  // rank -1 arms every rank
     EXPECT_EQ(machine.total_stats().faults_injected, static_cast<i64>(kP));
   }
-}
-
-TEST(Deadline, RecvDeadlineThrowsTypedTimeout) {
-  rt::Machine machine(2);  // no machine deadline: only the explicit call
-  bool timed_out = false;
-  try {
-    machine.run([&](rt::Process& p) {
-      if (p.rank() == 0) {
-        // Nobody ever sends: the explicit per-call deadline must fire even
-        // with the machine-wide watchdog disabled.
-        (void)p.recv_deadline<int>(1, /*tag=*/9, /*deadline_sec=*/0.2);
-        FAIL() << "recv_deadline returned without a message";
-      } else {
-        rt::barrier(p);  // parked until rank 0's timeout poisons the machine
-      }
-    });
-  } catch (const chaos::MachineTimeout& t) {
-    timed_out = true;
-    ASSERT_EQ(t.missing_ranks.size(), 1u);
-    EXPECT_EQ(t.missing_ranks[0], 1);  // the source we waited on
-    EXPECT_EQ(t.epoch, 0u);            // not a barrier timeout
-    EXPECT_NE(std::string(t.what()).find("rank 1"), std::string::npos);
-  }
-  EXPECT_TRUE(timed_out);
-  EXPECT_GE(machine.total_stats().timeouts, 1);
-  EXPECT_GE(machine.total_stats().poisoned_waits, 1);  // rank 1's barrier
 }
 
 TEST(Deadline, BarrierWatchdogNamesTheMissingRank) {

@@ -1,10 +1,9 @@
-// Unit tests for the virtual machine substrate: SPMD launch, point-to-point
-// messaging, determinism of virtual clocks, and failure propagation.
+// Unit tests for the virtual machine substrate: SPMD launch, determinism of
+// virtual clocks, failure propagation, recovery, and the shrunken view.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -34,82 +33,6 @@ TEST(Machine, SingleProcessRunsInline) {
     EXPECT_EQ(p.nprocs(), 1);
   });
   EXPECT_TRUE(ran);
-}
-
-TEST(Machine, PointToPointRoundTrip) {
-  rt::Machine::run(2, [](rt::Process& p) {
-    if (p.rank() == 0) {
-      std::vector<i64> payload{1, 2, 3, 42};
-      p.send<i64>(1, /*tag=*/7, payload);
-      auto back = p.recv<i64>(1, /*tag=*/8);
-      ASSERT_EQ(back.size(), 1u);
-      EXPECT_EQ(back[0], 48);
-    } else {
-      auto data = p.recv<i64>(0, 7);
-      EXPECT_EQ(data, (std::vector<i64>{1, 2, 3, 42}));
-      const i64 sum = std::accumulate(data.begin(), data.end(), i64{0});
-      p.send_value<i64>(0, 8, sum);
-    }
-  });
-}
-
-TEST(Machine, MessagesFromSameSourceArriveInOrder) {
-  rt::Machine::run(2, [](rt::Process& p) {
-    constexpr int kMessages = 64;
-    if (p.rank() == 0) {
-      for (int i = 0; i < kMessages; ++i) p.send_value<int>(1, 3, i);
-    } else {
-      for (int i = 0; i < kMessages; ++i) {
-        EXPECT_EQ(p.recv_value<int>(0, 3), i);
-      }
-    }
-  });
-}
-
-TEST(Machine, TagsAreMatchedIndependently) {
-  rt::Machine::run(2, [](rt::Process& p) {
-    if (p.rank() == 0) {
-      p.send_value<int>(1, /*tag=*/1, 100);
-      p.send_value<int>(1, /*tag=*/2, 200);
-    } else {
-      // Receive in the opposite order of sending.
-      EXPECT_EQ(p.recv_value<int>(0, 2), 200);
-      EXPECT_EQ(p.recv_value<int>(0, 1), 100);
-    }
-  });
-}
-
-TEST(Machine, SendChargesClockAndStats) {
-  rt::Machine machine(2);
-  machine.run([](rt::Process& p) {
-    if (p.rank() == 0) {
-      std::vector<double> payload(100, 1.0);
-      p.send<double>(1, 0, payload);
-      EXPECT_GT(p.clock().now_us(), 0.0);
-      EXPECT_EQ(p.stats().messages_sent, 1);
-      EXPECT_EQ(p.stats().bytes_sent, 800);
-    } else {
-      auto v = p.recv<double>(0, 0);
-      EXPECT_EQ(v.size(), 100u);
-      EXPECT_EQ(p.stats().messages_received, 1);
-      EXPECT_EQ(p.stats().bytes_received, 800);
-    }
-  });
-  EXPECT_EQ(machine.total_stats().messages_sent, 1);
-  EXPECT_EQ(machine.total_stats().bytes_sent, 800);
-  EXPECT_GT(machine.max_virtual_time_us(), 0.0);
-}
-
-TEST(Machine, ReceiverClockAdvancesToMessageReadyTime) {
-  rt::Machine::run(2, [](rt::Process& p) {
-    if (p.rank() == 0) {
-      p.clock().charge(1e6);  // sender is far in the virtual future
-      p.send_value<int>(1, 0, 1);
-    } else {
-      (void)p.recv_value<int>(0, 0);
-      EXPECT_GE(p.clock().now_us(), 1e6);
-    }
-  });
 }
 
 TEST(Machine, VirtualTimeIsDeterministicAcrossRuns) {
@@ -145,18 +68,16 @@ TEST(Machine, ExceptionInOneRankPropagatesAndReleasesOthers) {
       chaos::ChaosError);
 }
 
-TEST(Machine, ThrowingRankReleasesPeerBlockedInRecv) {
-  // Regression: poison used to release only the barrier, so a peer blocked
-  // in Mailbox::take (recv of a message that will never be sent) hung
-  // forever. The mailbox condvars must be poisoned too, and the blocked
-  // receiver must come back with MachinePoisoned.
+TEST(Machine, ThrowingRankReleasesPeerBlockedInBroadcast) {
+  // The root of a broadcast dies before publishing: the peer waiting for
+  // its value must come back with MachinePoisoned, not wait forever.
   std::atomic<bool> receiver_poisoned{false};
   EXPECT_THROW(
       rt::Machine::run(2,
                        [&](rt::Process& p) {
                          if (p.rank() == 1) throw chaos::ChaosError("boom");
                          try {
-                           (void)p.recv<int>(1, /*tag=*/0);
+                           (void)rt::broadcast(p, i64{0}, /*root=*/1);
                          } catch (const chaos::MachinePoisoned&) {
                            receiver_poisoned = true;
                            throw;
@@ -168,9 +89,9 @@ TEST(Machine, ThrowingRankReleasesPeerBlockedInRecv) {
 
 TEST(Machine, ThrowingRankReleasesPeersBlockedInAlltoallvFlat) {
   // Regression for the fault-injection PR: a rank dying BETWEEN collectives
-  // leaves its peers inside alltoallv_flat's fused barrier phase (not a
-  // plain recv), and each of them must surface MachinePoisoned rather than
-  // wait for a publish that will never happen.
+  // leaves its peers inside alltoallv_flat's fused barrier phase, and each
+  // of them must surface MachinePoisoned rather than wait for a publish
+  // that will never happen.
   constexpr int P = 4;
   std::atomic<int> poisoned_peers{0};
   EXPECT_THROW(
@@ -193,23 +114,20 @@ TEST(Machine, ThrowingRankReleasesPeersBlockedInAlltoallvFlat) {
   EXPECT_EQ(poisoned_peers.load(), P - 1);
 }
 
-TEST(Machine, BackToBackRunsResetStatsClocksAndMailboxes) {
+TEST(Machine, BackToBackRunsResetStatsAndClocks) {
   rt::Machine machine(2);
   machine.run([](rt::Process& p) {
-    if (p.rank() == 0) {
-      p.send_value<int>(1, 0, 11);
-    } else {
-      EXPECT_EQ(p.recv_value<int>(0, 0), 11);
-    }
+    const std::vector<std::vector<i64>> out(2, {i64{p.rank()}});
+    const auto in = rt::alltoallv<i64>(p, out);
+    EXPECT_EQ(in[static_cast<std::size_t>(1 - p.rank())][0], 1 - p.rank());
   });
-  EXPECT_EQ(machine.total_stats().messages_sent, 1);
+  EXPECT_EQ(machine.total_stats().messages_sent, 2);
   EXPECT_GT(machine.max_virtual_time_us(), 0.0);
 
-  // An empty second run must start from scratch: no carried-over stats,
-  // clocks, or queued messages.
+  // An empty second run must start from scratch: no carried-over stats or
+  // clocks.
   machine.run([](rt::Process& p) {
     EXPECT_EQ(p.stats().messages_sent, 0);
-    EXPECT_EQ(p.machine().mailbox(p.rank()).pending(), 0u);
     EXPECT_DOUBLE_EQ(p.clock().now_us(), 0.0);
   });
   EXPECT_EQ(machine.total_stats().messages_sent, 0);
@@ -217,25 +135,41 @@ TEST(Machine, BackToBackRunsResetStatsClocksAndMailboxes) {
   EXPECT_DOUBLE_EQ(machine.max_virtual_time_us(), 0.0);
 }
 
-TEST(Machine, ReusableAfterPoisonedRun) {
-  rt::Machine machine(4);
+namespace {
+
+/// Leaves a 4-rank machine poisoned mid-collective: rank 0 has published a
+/// pointer payload nobody read, ranks 1 and 2 wait in barriers, and rank 3
+/// throws before arriving.
+void poison_mid_collective(rt::Machine& machine) {
   EXPECT_THROW(machine.run([](rt::Process& p) {
-    // Rank 0 parks a message nobody consumes; rank 1 blocks on a receive
-    // that never arrives; rank 3 fails. Poison must release everyone and
-    // the next run must see a clean machine.
-    if (p.rank() == 0) p.send_value<int>(2, /*tag=*/9, 1);
-    if (p.rank() == 1) (void)p.recv<int>(3, /*tag=*/7);
+    const std::vector<i64> payload(16, 7);
+    if (p.rank() == 0) (void)rt::broadcast_vec(p, payload, /*root=*/0);
     if (p.rank() == 3) throw chaos::ChaosError("boom");
     p.barrier_sync_only();
   }),
                chaos::ChaosError);
+}
 
-  machine.run([](rt::Process& p) {
-    EXPECT_EQ(p.machine().mailbox(p.rank()).pending(), 0u);
-    const auto sum = rt::allreduce_sum(p, i64{p.rank() + 1});
-    EXPECT_EQ(sum, 10);
-  });
-  EXPECT_EQ(machine.total_stats().messages_sent, 0);
+void sum_ranks(rt::Process& p) {
+  EXPECT_EQ(rt::allreduce_sum(p, i64{p.rank() + 1}), 10);
+}
+
+}  // namespace
+
+TEST(Machine, ReusableAfterPoisonedRun) {
+  rt::Machine machine(4);
+  poison_mid_collective(machine);
+
+  // The next run must see a clean machine: same results, traffic and
+  // modeled time as the same body on a fresh one.
+  machine.run(sum_ranks);
+  rt::Machine fresh(4);
+  fresh.run(sum_ranks);
+  EXPECT_EQ(machine.total_stats().messages_sent,
+            fresh.total_stats().messages_sent);
+  EXPECT_EQ(machine.total_stats().barriers, fresh.total_stats().barriers);
+  EXPECT_EQ(machine.total_stats().poisoned_waits, 0);
+  EXPECT_EQ(machine.max_virtual_time_us(), fresh.max_virtual_time_us());
 }
 
 TEST(Machine, BarrierOrdersPlainWritesAcrossRanks) {
@@ -298,75 +232,26 @@ TEST(Machine, CollectiveCounterIsUniqueAndAgreedUpon) {
 
 // --- post-poison recovery (DESIGN.md §11) ------------------------------------
 
-TEST(Machine, RecoverDrainsEveryMailboxShard) {
-  constexpr int P = 4;
-  rt::Machine machine(P);
-  // Every rank parks one message in every other rank's box (all P*(P-1)
-  // source shards populated), then rank 3 fails before anyone receives.
-  EXPECT_THROW(machine.run([](rt::Process& p) {
-                 for (int d = 0; d < p.nprocs(); ++d) {
-                   if (d != p.rank()) p.send_value<int>(d, /*tag=*/5, p.rank());
-                 }
-                 if (p.rank() == 3) throw chaos::ChaosError("boom");
-                 p.barrier_sync_only();
-               }),
-               chaos::ChaosError);
+TEST(Machine, RecoverClearsThePoisonOfAFailedRun) {
+  rt::Machine machine(4);
+  poison_mid_collective(machine);
   EXPECT_TRUE(machine.is_poisoned());
-  for (int d = 0; d < P; ++d) {
-    for (int s = 0; s < P; ++s) {
-      EXPECT_EQ(machine.mailbox(d).pending_from(s),
-                s == d ? 0u : 1u)
-          << "dest " << d << " source " << s;
-    }
-  }
-
-  EXPECT_EQ(machine.recover(), P * (P - 1));
+  machine.recover();
   EXPECT_FALSE(machine.is_poisoned());
-  for (int d = 0; d < P; ++d) {
-    EXPECT_EQ(machine.mailbox(d).pending(), 0u) << "dest " << d;
-    for (int s = 0; s < P; ++s) {
-      EXPECT_EQ(machine.mailbox(d).pending_from(s), 0u)
-          << "dest " << d << " source " << s;
-    }
-  }
-  machine.run([](rt::Process& p) {
-    EXPECT_EQ(rt::allreduce_sum(p, i64{p.rank() + 1}), 10);
-  });
-}
-
-TEST(Machine, StaleMessageIsNeverRedeliveredAfterRecover) {
-  rt::Machine machine(2);
-  // Run 1: rank 1's message is in flight when rank 0 dies before receiving.
-  EXPECT_THROW(machine.run([](rt::Process& p) {
-                 if (p.rank() == 1) p.send_value<int>(0, /*tag=*/5, 111);
-                 if (p.rank() == 0) throw chaos::ChaosError("die first");
-                 p.barrier_sync_only();
-               }),
-               chaos::ChaosError);
-  EXPECT_EQ(machine.mailbox(0).pending_from(1), 1u);
-  EXPECT_EQ(machine.recover(), 1);
-
-  // Run 2 re-sends under the same (source, tag): the receive must see the
-  // fresh payload, never the stale one from the poisoned run.
-  machine.run([](rt::Process& p) {
-    if (p.rank() == 1) p.send_value<int>(0, /*tag=*/5, 222);
-    if (p.rank() == 0) EXPECT_EQ(p.recv_value<int>(1, 5), 222);
-  });
-  EXPECT_EQ(machine.mailbox(0).pending(), 0u);
+  machine.run(sum_ranks);
 }
 
 TEST(Machine, RecoverOnACleanMachineIsANoOp) {
-  rt::Machine machine(3);
-  EXPECT_EQ(machine.recover(), 0);  // fresh machine: nothing to drain
+  rt::Machine machine(4);
+  machine.recover();  // fresh machine: nothing to reset
   machine.run([](rt::Process& p) {
-    if (p.rank() == 0) p.send_value<int>(1, 2, 9);
-    if (p.rank() == 1) EXPECT_EQ(p.recv_value<int>(0, 2), 9);
+    const std::vector<i64> payload(16, p.rank());
+    EXPECT_EQ(rt::broadcast_vec(p, payload, /*root=*/2)[0], 2);
     rt::barrier(p);
   });
-  EXPECT_EQ(machine.recover(), 0);  // every message was consumed
-  machine.run([](rt::Process& p) {
-    EXPECT_EQ(rt::allreduce_sum(p, i64{1}), 3);
-  });
+  machine.recover();  // a clean run leaves nothing behind either
+  EXPECT_FALSE(machine.is_poisoned());
+  machine.run(sum_ranks);
 }
 
 // ---------------------------------------------------------------------------
@@ -394,7 +279,6 @@ TEST(Machine, ShrinkNarrowsBarrierAndCollectivesToTheSurvivors) {
       EXPECT_EQ(in[static_cast<std::size_t>(s)][0], s);
     }
   });
-  EXPECT_EQ(machine.recover(), 0);  // parked ranks sent nothing
 
   machine.restore_full_width();
   EXPECT_EQ(machine.active_nprocs(), 8);
