@@ -1,10 +1,10 @@
 // Ablation B: translation-table organization. PARTI/CHAOS distributes the
 // global-to-local translation table page-wise; the alternative is full
 // replication (O(N) memory per process, zero-communication dereference).
-// Both answer through TranslationTable::dereference staged in a reusable
-// DereferenceWorkspace: counts alltoall + two flat CSR exchanges
-// (3 collectives) when paged, none when replicated, and ZERO heap
-// allocations on a warm repeat call.
+// Both answer through TranslationTable::dereference, staged in per-thread
+// scratch: counts alltoall + two flat CSR exchanges (3 collectives) when
+// paged, none when replicated, and ZERO heap allocations on a warm repeat
+// call.
 // Measurements per config: collectives per locate, heap allocations per warm
 // locate (operator-new hook; must be exactly 0 — a hard gate), modeled
 // seconds, and host wall throughput — written to BENCH_ttable.json so the
@@ -17,7 +17,6 @@
 
 #include "bench/alloc_hook.hpp"
 #include "bench/common.hpp"
-#include "dist/dereference_workspace.hpp"
 
 namespace bench = chaos::bench;
 namespace rt = chaos::rt;
@@ -69,11 +68,10 @@ ConfigResult run_config(const bench::Workload& w, i64 page, bool repl) {
       queries.push_back(w.e2[static_cast<std::size_t>(e)]);
     }
 
-    // Caller-owned answers + scratch, warmed by one call that sizes every
-    // workspace buffer and checks each answer's owner against the map.
+    // Caller-owned answers, warmed by one call that sizes every scratch
+    // buffer and checks each answer's owner against the map.
     std::vector<dist::Entry> entries;
-    dist::DereferenceWorkspace ws;
-    d->locate_into(p, queries, entries, ws);
+    d->locate_into(p, queries, entries);
     for (std::size_t i = 0; i < queries.size(); ++i) {
       CHAOS_CHECK(entries[i].proc == (queries[i] * 13 + 5) % p.nprocs(),
                   "ablation_ttable: dereference disagrees with the map");
@@ -89,7 +87,7 @@ ConfigResult run_config(const bench::Workload& w, i64 page, bool repl) {
     const auto w0 = std::chrono::steady_clock::now();
     rt::ClockSection section(p.clock());
     for (int k = 0; k < kLocateCalls; ++k) {
-      d->locate_into(p, queries, entries, ws);
+      d->locate_into(p, queries, entries);
     }
     rt::barrier(p);
     const long long allocs1 = bench::heap_allocs();

@@ -8,7 +8,6 @@
 
 #include "core/executor.hpp"
 #include "core/inspector.hpp"
-#include "dist/dereference_workspace.hpp"
 #include "dist/remap.hpp"
 #include "rt/collectives.hpp"
 #include "workload/rng.hpp"
@@ -65,8 +64,7 @@ void BM_Dereference(benchmark::State& state) {
       auto d = dist::Distribution::irregular_from_map(p, slice, *md);
       const auto refs = random_refs(n, queries, 17 + p.rank());
       std::vector<dist::Entry> entries;
-      dist::DereferenceWorkspace ws;
-      d->locate_into(p, refs, entries, ws);
+      d->locate_into(p, refs, entries);
       benchmark::DoNotOptimize(entries);
     });
   }

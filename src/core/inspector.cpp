@@ -6,22 +6,40 @@
 
 namespace chaos::core {
 
-namespace detail {
-
-i64 dedup_batches(InspectorWorkspace& ws,
-                  std::span<const std::span<const i64>> batches) {
+i64 InspectorWorkspace::dedup_batches(
+    std::span<const std::span<const i64>> batches, i64 n) {
   std::size_t total = 0;
   for (const auto& b : batches) total += b.size();
-  ws.begin(total);
+  const std::size_t bound = std::min(total, static_cast<std::size_t>(n));
+  std::size_t cap = slot_key_.size();
+  if (cap < 2 * bound || cap == 0) {
+    cap = 16;
+    while (cap < 2 * bound) cap <<= 1;
+    slot_key_.resize(cap);
+    slot_id_.resize(cap);
+    slot_epoch_.resize(cap, 0);
+  }
+  mask_ = cap - 1;
+  ++epoch_;  // every slot of an older pass now reads as empty
+  distinct_.clear();
+  distinct_.reserve(bound);
+  pos_ids_.resize(total);
+  last_total_ = static_cast<i64>(total);
+  last_distinct_ = 0;
   std::size_t cursor = 0;
   for (const auto& b : batches) {
     for (const i64 g : b) {
-      ws.pos_ids_[cursor++] = ws.dedup_id(g);
+      CHAOS_CHECK(g >= 0 && g < n, "inspector: reference " +
+                                       std::to_string(g) + " outside [0, " +
+                                       std::to_string(n) + ")");
+      pos_ids_[cursor++] = dedup_id(g);
     }
   }
-  ws.last_distinct_ = static_cast<i64>(ws.distinct_.size());
-  return ws.last_distinct_;
+  last_distinct_ = static_cast<i64>(distinct_.size());
+  return last_distinct_;
 }
+
+namespace detail {
 
 // Ghost slots are per-owner contiguous, owners ascending, within an owner
 // SORTED BY GLOBAL ascending — the canonical order that makes the schedule a
@@ -93,7 +111,7 @@ void localize_into(rt::Process& p, const dist::Distribution& d,
   // Phase 1: collapse duplicate globals. Batches are walked directly — no
   // flattening copy for any batch count, single-batch included — and each
   // position records the distinct ordinal of its global.
-  const i64 distinct = dedup_batches(ws, batches);
+  const i64 distinct = ws.dedup_batches(batches, d.size());
   const auto total = static_cast<std::size_t>(ws.last_total_);
 
   // Phase 2: resolve the distinct globals to (owner, local) entries — ONE
@@ -131,7 +149,7 @@ void localize_into(rt::Process& p, const dist::Distribution& d,
     // One probe per distinct global.
     p.clock().charge_ops(distinct, p.params().mem_us_per_word);
     if (rt::allreduce_sum(p, nmiss) > 0) {
-      d.locate_into(p, ws.miss_globals_, ws.miss_entries_, ws.deref_ws_);
+      d.locate_into(p, ws.miss_globals_, ws.miss_entries_);
       for (std::size_t j = 0; j < ws.miss_ids_.size(); ++j) {
         const auto k = static_cast<std::size_t>(ws.miss_ids_[j]);
         ws.entries_[k] = ws.miss_entries_[j];
@@ -147,7 +165,7 @@ void localize_into(rt::Process& p, const dist::Distribution& d,
     // locate's own (single, fused) clock charge, so modeled times stay
     // bit-identical — same integer operand, same one rounding step — while
     // the host does ~1/multiplicity of the work.
-    d.locate_into(p, ws.distinct_, ws.entries_, ws.deref_ws_,
+    d.locate_into(p, ws.distinct_, ws.entries_,
                   static_cast<i64>(total) - distinct);
   }
 
@@ -211,7 +229,7 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
   const i64 nlocal = d.my_local_size();
 
   // Phase R1: dedup the NEW reference set (identical front half).
-  const i64 distinct = dedup_batches(ws, batches);
+  const i64 distinct = ws.dedup_batches(batches, d.size());
   const auto total = static_cast<std::size_t>(ws.last_total_);
 
   // Phase R2: hard eligibility, checked per rank. A snapshot from another
@@ -284,7 +302,7 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
     p.stats().tcache_hits += novel - nmiss;
     p.stats().tcache_misses += nmiss;
     if (rt::allreduce_sum(p, nmiss) > 0) {
-      d.locate_into(p, ws.miss_globals_, ws.miss_entries_, ws.deref_ws_);
+      d.locate_into(p, ws.miss_globals_, ws.miss_entries_);
       for (std::size_t j = 0; j < ws.miss_ids_.size(); ++j) {
         const auto k = static_cast<std::size_t>(ws.miss_ids_[j]);
         ws.entries_[k] = ws.miss_entries_[j];
@@ -296,7 +314,7 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
     for (const i64 k : ws.novel_ids_) {
       ws.novel_globals_.push_back(ws.distinct_[static_cast<std::size_t>(k)]);
     }
-    d.locate_into(p, ws.novel_globals_, ws.novel_entries_, ws.deref_ws_);
+    d.locate_into(p, ws.novel_globals_, ws.novel_entries_);
     for (std::size_t j = 0; j < ws.novel_ids_.size(); ++j) {
       ws.entries_[static_cast<std::size_t>(ws.novel_ids_[j])] =
           ws.novel_entries_[j];

@@ -12,10 +12,10 @@
 //
 // All scratch lives in a reusable InspectorWorkspace (the inspector-side
 // sibling of ExecutorWorkspace): buffers grow monotonically, the dedup table
-// resets by epoch tag, the locate round stages in the workspace's
-// dereference scratch, and the entry points below write into caller-owned
+// resets by epoch tag, and the entry points below write into caller-owned
 // results — so a re-run inspector performs zero heap allocations after
-// warmup, IRREGULAR locates included.
+// warmup, IRREGULAR locates included (the dereference keeps its own
+// per-thread scratch).
 #pragma once
 
 #include <span>
@@ -23,7 +23,6 @@
 
 #include "core/plan_options.hpp"
 #include "core/schedule.hpp"
-#include "dist/dereference_workspace.hpp"
 #include "dist/distribution.hpp"
 #include "dist/translation_cache.hpp"
 #include "rt/collectives.hpp"
@@ -81,14 +80,6 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
                  CommSchedule& schedule, i64& off_process_refs,
                  InspectorWorkspace& ws, const LocalizeSnapshot& snap);
 
-/// Collapses duplicate globals across @p batches through the workspace's
-/// dedup table: fills the per-position ordinal map and the distinct arena
-/// (first-occurrence order) and returns the distinct count. The shared front
-/// half of localize, also used by partition_iterations to dedup its
-/// reference batches before the owner locate.
-i64 dedup_batches(InspectorWorkspace& ws,
-                  std::span<const std::span<const i64>> batches);
-
 /// The canonical ghost-slot assignment shared by the full build and the
 /// repair path: counts distinct off-process entries per owner into the
 /// schedule's receive prefix, then assigns ghost slots per-owner sorted by
@@ -99,9 +90,9 @@ void assign_ghost_slots(InspectorWorkspace& ws, std::size_t np, i32 my_rank,
 }  // namespace detail
 
 /// Reusable inspector scratch: the dedup table, the distinct-reference
-/// arena, per-owner request staging, the locate's dereference scratch, and
-/// the PlanOptions governing cache / repair behavior. One workspace serves
-/// any number of sequential localize calls; plans own one per loop.
+/// arena, per-owner request staging, and the PlanOptions governing cache /
+/// repair behavior. One workspace serves any number of sequential localize
+/// calls; plans own one per loop.
 class InspectorWorkspace {
  public:
   /// Installs the plan options this workspace localizes under. SPMD
@@ -123,27 +114,10 @@ class InspectorWorkspace {
     return opts_.translation_cache;
   }
 
-  /// Scratch for the distribution locate: localize and repair stage their
-  /// locate round here, and partition_iterations borrows it for its owner
-  /// locate.
-  [[nodiscard]] dist::DereferenceWorkspace& deref_scratch() {
-    return deref_ws_;
-  }
-
   /// Reference counts of the most recent localize through this workspace
   /// (the bench layer checks locate volume against these).
   [[nodiscard]] i64 last_total_refs() const { return last_total_; }
   [[nodiscard]] i64 last_distinct_refs() const { return last_distinct_; }
-
-  /// Read-only views of the most recent dedup pass (valid until the next
-  /// begin): the distinct globals in first-occurrence order, and the
-  /// distinct ordinal of every reference position in batch-major order.
-  [[nodiscard]] std::span<const i64> distinct_globals() const {
-    return {distinct_.data(), static_cast<std::size_t>(last_distinct_)};
-  }
-  [[nodiscard]] std::span<const i64> pos_ordinals() const {
-    return {pos_ids_.data(), static_cast<std::size_t>(last_total_)};
-  }
 
   /// Copies the most recent successful localize/repair's distinct set,
   /// resolved entries, and distribution identity into @p snap — the state
@@ -174,8 +148,6 @@ class InspectorWorkspace {
                                   std::span<std::vector<i64>* const>,
                                   CommSchedule&, i64&, InspectorWorkspace&,
                                   const LocalizeSnapshot&);
-  friend i64 detail::dedup_batches(InspectorWorkspace&,
-                                   std::span<const std::span<const i64>>);
   friend void detail::assign_ghost_slots(InspectorWorkspace&, std::size_t,
                                          i32, i64, CommSchedule&);
   friend void localize_many(rt::Process&, const dist::Distribution&,
@@ -186,25 +158,14 @@ class InspectorWorkspace {
                                    InspectorWorkspace&,
                                    const LocalizeSnapshot&, LocalizedMany&);
 
-  /// Starts a localize over @p total references: bumps the dedup epoch and
-  /// (re)sizes the table to load factor <= 1/2. Allocates only on growth.
-  void begin(std::size_t total) {
-    std::size_t cap = slot_key_.size();
-    if (cap < 2 * total || cap == 0) {
-      cap = 16;
-      while (cap < 2 * total) cap <<= 1;
-      slot_key_.resize(cap);
-      slot_id_.resize(cap);
-      slot_epoch_.resize(cap, 0);
-    }
-    mask_ = cap - 1;
-    ++epoch_;
-    distinct_.clear();
-    distinct_.reserve(total);
-    pos_ids_.resize(total);
-    last_total_ = static_cast<i64>(total);
-    last_distinct_ = 0;
-  }
+  /// Collapses duplicate globals across @p batches (indices into a
+  /// distribution of @p n elements): fills the per-position ordinal map and
+  /// the distinct arena (first-occurrence order) and returns the distinct
+  /// count. The shared front half of localize and repair. The table is
+  /// sized to load factor <= 1/2 of min(total, n), and every reference is
+  /// range-checked before it is inserted, so the table can never fill.
+  /// Allocates only on growth.
+  i64 dedup_batches(std::span<const std::span<const i64>> batches, i64 n);
 
   /// Distinct ordinal of global @p g, minting one (first-occurrence order)
   /// on the first sighting this epoch.
@@ -307,7 +268,6 @@ class InspectorWorkspace {
   std::vector<i64> tomb_scratch_;    ///< splice_send sorted-tombstone staging
 
   PlanOptions opts_;
-  dist::DereferenceWorkspace deref_ws_;  ///< locate-round scratch
   i64 last_total_ = 0;
   i64 last_distinct_ = 0;
   u64 last_dad_key_ = 0;  ///< distribution identity of the last localize

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/inspector.hpp"
 #include "rt/collectives.hpp"
 
 namespace chaos::core {
@@ -21,40 +20,35 @@ IterationPartition partition_iterations(
   const auto nbatches = static_cast<i64>(ref_batches.size());
   CHAOS_CHECK(nbatches >= 1, "partition_iterations: need at least one batch");
 
-  // Owners of every reference: duplicates are collapsed through the
-  // inspector's dedup table BEFORE the locate (the same dedup-first move
-  // localize makes), so the translation table sees each distinct global
-  // once. The collapsed duplicates ride the locate's clock charge as model
-  // compensation — the same fused charge a locate over all niter*nbatches
-  // references would have paid — and the dereference already dedups per
-  // home on the wire, so modeled virtual times are unchanged; only the
-  // host-side sort/scan work shrinks by the duplicate multiplicity.
-  InspectorWorkspace ws;
-  const i64 total = niter * nbatches;
-  const i64 distinct = detail::dedup_batches(ws, ref_batches);
-  std::vector<dist::Entry> entries;
-  data_dist.locate_into(p, ws.distinct_globals(), entries, ws.deref_scratch(),
-                        total - distinct);
-  const std::span<const i64> ordinals = ws.pos_ordinals();
+  // Owners of every reference, in ONE locate over the batch-major layout
+  // (reference of iteration i in batch b at position b*niter + i). The
+  // dereference ships each distinct remote global once and charges one
+  // table touch per reference.
+  std::vector<i64> flat;
+  std::span<const i64> refs = ref_batches[0];
+  if (nbatches > 1) {
+    flat.reserve(static_cast<std::size_t>(niter * nbatches));
+    for (const auto& b : ref_batches) {
+      flat.insert(flat.end(), b.begin(), b.end());
+    }
+    refs = flat;
+  }
+  std::vector<dist::Entry> owners;
+  data_dist.locate_into(p, refs, owners);
 
-  // Vote per iteration. Reference k of iteration i for batch b sits at
-  // position b*niter + i in batch-major order; its owner is the entry of
-  // that position's distinct ordinal.
+  // Vote per iteration.
   std::vector<i64> home(static_cast<std::size_t>(niter), 0);
   std::vector<i32> votes;  // scratch: owner per reference of one iteration
   votes.resize(static_cast<std::size_t>(nbatches));
   for (i64 i = 0; i < niter; ++i) {
     if (rule == IterRule::OwnerComputes) {
       home[static_cast<std::size_t>(i)] =
-          entries[static_cast<std::size_t>(ordinals[static_cast<std::size_t>(i)])]
-              .proc;
+          owners[static_cast<std::size_t>(i)].proc;
       continue;
     }
     for (i64 b = 0; b < nbatches; ++b) {
       votes[static_cast<std::size_t>(b)] =
-          entries[static_cast<std::size_t>(
-                      ordinals[static_cast<std::size_t>(b * niter + i)])]
-              .proc;
+          owners[static_cast<std::size_t>(b * niter + i)].proc;
     }
     std::sort(votes.begin(), votes.end());
     // Longest run wins; ties resolve to the smallest rank because the runs

@@ -66,19 +66,19 @@ class Distribution {
 
   /// Collective. Resolves a batch of global indices to (owner, local)
   /// entries into @p out (resized in place). Regular kinds answer locally
-  /// with pure arithmetic; IRREGULAR runs TranslationTable::dereference
-  /// staged in @p ws (3 collectives when paged, none when replicated; 0 heap
-  /// allocations on a warm repeat call). @p extra_charged_queries is model
-  /// compensation folded into the SAME clock charge as the real queries (one
-  /// fused charge keeps the virtual clock bit-identical to a single locate
-  /// over queries + extras): the dedup-first inspector passes the collapsed
-  /// duplicates here.
+  /// with pure arithmetic; IRREGULAR runs TranslationTable::dereference (3
+  /// collectives when paged, none when replicated; 0 heap allocations on a
+  /// warm repeat call). @p extra_charged_queries is model compensation
+  /// folded into the SAME clock charge as the real queries (one fused charge
+  /// keeps the virtual clock bit-identical to a single locate over queries +
+  /// extras): the dedup-first inspector passes the collapsed duplicates
+  /// here.
   void locate_into(rt::Process& p, std::span<const i64> queries,
-                   std::vector<Entry>& out, DereferenceWorkspace& ws,
+                   std::vector<Entry>& out,
                    i64 extra_charged_queries = 0) const;
 
-  /// Value-returning locate_into through a call-local workspace, for cold
-  /// one-shot callers (remap, geocol, partition metrics).
+  /// Value-returning locate_into, for one-shot callers (remap, geocol,
+  /// partition metrics).
   [[nodiscard]] std::vector<Entry> locate(rt::Process& p,
                                           std::span<const i64> queries) const;
 

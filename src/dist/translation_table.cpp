@@ -1,8 +1,10 @@
 #include "dist/translation_table.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
-#include "dist/dereference_workspace.hpp"
+#include "dist/dad.hpp"
 #include "rt/collectives.hpp"
 
 namespace chaos::dist {
@@ -14,6 +16,50 @@ struct Claim {
   i64 g;      ///< global index
   i64 local;  ///< local offset at the owner
 };
+
+/// One slot of the remote-query dedup table: a global, the dereference call
+/// that wrote it, and the global's index within its home's request segment.
+struct DedupSlot {
+  i64 g = 0;
+  u32 epoch = 0;
+  u32 pos = 0;
+};
+static_assert(sizeof(DedupSlot) == 16);
+
+/// Everything one paged dereference stages. Every buffer grows
+/// monotonically and the dedup table resets by bumping its epoch, so a warm
+/// repeat call performs zero heap allocations.
+struct DerefScratch {
+  std::vector<i64> counts;        ///< 2P: my per-home counts + peer counts
+  std::vector<i32> home;          ///< per query: home rank, -1 if answered
+  std::vector<i64> pos;           ///< per query: request CSR position, or -1
+  std::vector<i64> send_offsets;  ///< P+1: request CSR prefix (distinct)
+  std::vector<i64> recv_offsets;  ///< P+1: incoming-query CSR prefix
+  std::vector<i64> req;           ///< distinct request globals, per home
+  std::vector<i64> peer_req;      ///< globals peers ask this process
+  std::vector<Entry> reply;       ///< answers shipped back to peers
+  std::vector<Entry> answers;     ///< answers received, aligned with req
+  std::vector<DedupSlot> slots;   ///< open addressing, linear probing
+  u32 epoch = 0;
+
+  /// Opens a dedup pass over at most @p bound distinct globals: the table
+  /// gets a load factor <= 1/2 and every slot of an older pass reads as
+  /// empty. Returns the probe mask.
+  std::size_t begin_dedup(i64 bound) {
+    const std::size_t cap = std::bit_ceil(
+        std::max<std::size_t>(16, 2 * static_cast<std::size_t>(bound)));
+    if (slots.size() < cap) slots.resize(cap);
+    if (++epoch == 0) {  // wrapped: retag every slot as empty
+      for (auto& slot : slots) slot.epoch = 0;
+      epoch = 1;
+    }
+    return cap - 1;
+  }
+};
+
+/// One scratch per thread. A dereference is a leaf collective that never
+/// re-enters, and a rank runs on one thread, so no two calls ever share it.
+thread_local DerefScratch t_scratch;
 
 }  // namespace
 
@@ -120,17 +166,20 @@ std::shared_ptr<const TranslationTable> TranslationTable::build(
 void TranslationTable::dereference(rt::Process& p,
                                    std::span<const i64> queries,
                                    std::vector<Entry>& out,
-                                   DereferenceWorkspace& ws,
                                    i64 extra_charged_queries) const {
   ++stats_.calls;
   stats_.queries += static_cast<i64>(queries.size());
   ++p.stats().ttable_flat_calls;
   out.resize(queries.size());
 
+  bool ascending = true;
+  i64 prev = -1;
   for (i64 q : queries) {
     CHAOS_CHECK(q >= 0 && q < n_,
                 "translation table: dereferenced index " + std::to_string(q) +
                     " outside [0, " + std::to_string(n_) + ")");
+    ascending = ascending && q > prev;
+    prev = q;
   }
 
   if (replicated_) {
@@ -145,63 +194,75 @@ void TranslationTable::dereference(rt::Process& p,
     return;
   }
 
+  DerefScratch& s = t_scratch;
   const auto np = static_cast<std::size_t>(nprocs_);
-  ws.counts_.resize(2 * np);
-  const std::span<i64> my_counts(ws.counts_.data(), np);
+  s.counts.resize(2 * np);
+  const std::span<i64> my_counts(s.counts.data(), np);
   std::fill(my_counts.begin(), my_counts.end(), 0);
 
-  // Pass 1: answer self-homed queries immediately, count the rest per home.
-  ws.home_.resize(queries.size());
+  // Pass 1: answer self-homed queries immediately, note the rest's home.
+  s.home.resize(queries.size());
+  s.pos.resize(queries.size());
+  i64 remote = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const i64 q = queries[i];
     const int home = home_of(q);
     if (home == my_rank_) {
       const std::size_t slot = my_slot(q);
       out[i] = Entry{proc_[slot], local_[slot]};
-      ws.home_[i] = -1;
+      s.home[i] = -1;
+      s.pos[i] = -1;
     } else {
-      ws.home_[i] = static_cast<i32>(home);
-      ++my_counts[static_cast<std::size_t>(home)];
+      s.home[i] = static_cast<i32>(home);
+      ++remote;
     }
   }
 
-  // Pass 2: scatter the remote queries into a per-home CSR, then sort and
-  // dedup each segment IN PLACE, compacting left so the request buffer stays
-  // flat. my_counts is rewritten with the post-dedup segment lengths.
-  ws.send_offsets_.resize(np + 1);
-  ws.send_offsets_[0] = 0;
-  for (std::size_t r = 0; r < np; ++r) {
-    ws.send_offsets_[r + 1] = ws.send_offsets_[r] + my_counts[r];
-  }
-  ws.req_.resize(static_cast<std::size_t>(ws.send_offsets_[np]));
-  ws.cursor_.resize(np);
-  std::copy(ws.send_offsets_.begin(), ws.send_offsets_.end() - 1,
-            ws.cursor_.begin());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (ws.home_[i] >= 0) {
-      ws.req_[static_cast<std::size_t>(
-          ws.cursor_[static_cast<std::size_t>(ws.home_[i])]++)] = queries[i];
-    }
-  }
-  i64 write = 0;
-  for (std::size_t r = 0; r < np; ++r) {
-    const i64 lo = ws.send_offsets_[r];
-    const i64 hi = ws.send_offsets_[r + 1];
-    std::sort(ws.req_.begin() + lo, ws.req_.begin() + hi);
-    const i64 start = write;
-    for (i64 k = lo; k < hi; ++k) {
-      if (k == lo || ws.req_[static_cast<std::size_t>(k)] !=
-                         ws.req_[static_cast<std::size_t>(k - 1)]) {
-        ws.req_[static_cast<std::size_t>(write++)] =
-            ws.req_[static_cast<std::size_t>(k)];
+  // Pass 2: give every distinct remote global its index within its home's
+  // request segment, first occurrence order; repeats reuse it. A strictly
+  // ascending batch has no repeats, so it skips the dedup table.
+  if (ascending) {
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      if (s.home[i] >= 0) {
+        s.pos[i] = my_counts[static_cast<std::size_t>(s.home[i])]++;
       }
     }
-    my_counts[r] = write - start;
+  } else {
+    CHAOS_CHECK(remote <= i64{std::numeric_limits<u32>::max()},
+                "translation table: too many queries in one dereference");
+    const std::size_t mask = s.begin_dedup(std::min(remote, n_));
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      if (s.home[i] < 0) continue;
+      const i64 q = queries[i];
+      std::size_t k =
+          static_cast<std::size_t>(detail::mix64(static_cast<u64>(q))) & mask;
+      while (s.slots[k].epoch == s.epoch && s.slots[k].g != q) {
+        k = (k + 1) & mask;
+      }
+      DedupSlot& slot = s.slots[k];
+      if (slot.epoch != s.epoch) {
+        slot = DedupSlot{q, s.epoch,
+                         static_cast<u32>(
+                             my_counts[static_cast<std::size_t>(s.home[i])]++)};
+      }
+      s.pos[i] = slot.pos;
+    }
   }
-  const i64 wire = write;
-  ws.send_offsets_[0] = 0;
+
+  // Pass 3: lay the segments out as one request CSR; each remote query's
+  // index becomes its flat position there, and the request buffer gets
+  // each distinct global once.
+  s.send_offsets.resize(np + 1);
+  s.send_offsets[0] = 0;
   for (std::size_t r = 0; r < np; ++r) {
-    ws.send_offsets_[r + 1] = ws.send_offsets_[r] + my_counts[r];
+    s.send_offsets[r + 1] = s.send_offsets[r] + my_counts[r];
+  }
+  const i64 wire = s.send_offsets[np];
+  s.req.resize(static_cast<std::size_t>(wire));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (s.home[i] < 0) continue;
+    s.pos[i] += s.send_offsets[static_cast<std::size_t>(s.home[i])];
+    s.req[static_cast<std::size_t>(s.pos[i])] = queries[i];
   }
   stats_.wire_queries += wire;
   p.stats().ttable_flat_wire_queries += wire;
@@ -209,36 +270,27 @@ void TranslationTable::dereference(rt::Process& p,
   // Rounds 1+2: the shared CSR exchange (counts alltoall fixes the
   // incoming-query prefix, one flat alltoallv moves the request globals) —
   // the same rt::exchange_csr the inspector's ghost requests and geocol's
-  // half-edges drive. It rederives the counts from send_offsets_ into
-  // ws.counts_, so the staging halves above are free to be clobbered here.
-  rt::exchange_csr<i64>(
-      p, std::span<const i64>(ws.req_.data(), static_cast<std::size_t>(wire)),
-      ws.send_offsets_, ws.peer_req_, ws.recv_offsets_, ws.counts_);
-  const i64 incoming = ws.recv_offsets_[np];
+  // half-edges drive. It rederives the counts from send_offsets into
+  // s.counts, so the staging half above is free to be clobbered here.
+  rt::exchange_csr<i64>(p, s.req, s.send_offsets, s.peer_req, s.recv_offsets,
+                        s.counts);
+  const i64 incoming = s.recv_offsets[np];
 
   // Answer from my pages; round 3 ships the entries back with the prefixes
   // swapped (my recv prefix is the peers' send prefix and vice versa).
-  ws.reply_.resize(static_cast<std::size_t>(incoming));
-  for (std::size_t k = 0; k < ws.peer_req_.size(); ++k) {
-    const std::size_t slot = my_slot(ws.peer_req_[k]);
-    ws.reply_[k] = Entry{proc_[slot], local_[slot]};
+  s.reply.resize(static_cast<std::size_t>(incoming));
+  for (std::size_t k = 0; k < s.peer_req.size(); ++k) {
+    const std::size_t slot = my_slot(s.peer_req[k]);
+    s.reply[k] = Entry{proc_[slot], local_[slot]};
   }
-  ws.answers_.resize(static_cast<std::size_t>(wire));
-  rt::alltoallv_flat<Entry>(
-      p, ws.reply_, ws.recv_offsets_,
-      std::span<Entry>(ws.answers_.data(), static_cast<std::size_t>(wire)),
-      ws.send_offsets_);
+  s.answers.resize(static_cast<std::size_t>(wire));
+  rt::alltoallv_flat<Entry>(p, s.reply, s.recv_offsets, s.answers,
+                            s.send_offsets);
   stats_.collectives += 3;
 
-  // Resolve remote queries by binary search in their home's sorted request
-  // segment — answers_ is index-aligned with req_ by construction.
+  // Resolve: answers are index-aligned with the request CSR.
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (ws.home_[i] < 0) continue;
-    const auto h = static_cast<std::size_t>(ws.home_[i]);
-    const auto lo = ws.req_.begin() + ws.send_offsets_[h];
-    const auto hi = ws.req_.begin() + ws.send_offsets_[h + 1];
-    const auto it = std::lower_bound(lo, hi, queries[i]);
-    out[i] = ws.answers_[static_cast<std::size_t>(it - ws.req_.begin())];
+    if (s.pos[i] >= 0) out[i] = s.answers[static_cast<std::size_t>(s.pos[i])];
   }
 
   // Modeled charge: one table touch per query (plus the compensated extras)

@@ -6,8 +6,8 @@
 //                globals; page pid lives on process pid % P. O(N/P) memory
 //                per process. dereference() batches all lookups through the
 //                flat CSR protocol: a counts alltoall plus two flat
-//                alltoallv exchanges over per-home sorted, deduplicated
-//                request segments.
+//                alltoallv exchanges over per-home deduplicated request
+//                segments.
 //   replicated — every process stores the whole table. O(N) memory,
 //                zero-communication dereference.
 //
@@ -21,8 +21,6 @@
 #include "rt/machine.hpp"
 
 namespace chaos::dist {
-
-class DereferenceWorkspace;
 
 /// One resolved global reference: owning process and local offset there.
 struct Entry {
@@ -40,8 +38,8 @@ class TranslationTable {
     i64 collectives = 0;  ///< 3 per paged call, 0 replicated
     i64 queries = 0;
     /// Distinct remote targets actually shipped on the wire (after the
-    /// per-home sort+unique): the request-side word count. The inspector
-    /// bench reads this to show the translation-cache traffic cut.
+    /// per-home dedup): the request-side word count. The inspector bench
+    /// reads this to show the translation-cache traffic cut.
     i64 wire_queries = 0;
   };
 
@@ -57,12 +55,12 @@ class TranslationTable {
   /// has no remote queries — peers may). out[i] resolves queries[i];
   /// duplicate and empty query lists are legal and lists may differ in
   /// length across processes. The flat CSR protocol (DESIGN.md §4) stages
-  /// everything in @p ws, so a warm repeat call performs 0 heap
-  /// allocations. @p extra_charged_queries is folded into the final clock
-  /// charge (see Distribution::locate_into). Out-of-range queries throw
-  /// before any collective.
+  /// everything in per-thread scratch that outlives the call, so a warm
+  /// repeat call performs 0 heap allocations. @p extra_charged_queries is
+  /// folded into the final clock charge (see Distribution::locate_into).
+  /// Out-of-range queries throw before any collective.
   void dereference(rt::Process& p, std::span<const i64> queries,
-                   std::vector<Entry>& out, DereferenceWorkspace& ws,
+                   std::vector<Entry>& out,
                    i64 extra_charged_queries = 0) const;
 
   [[nodiscard]] i64 size() const { return n_; }

@@ -313,4 +313,24 @@ TEST(Localize, OutOfRangeReferenceIsRejected) {
                                   core::localize(p, *d, refs, ws, out);
                                 }),
                chaos::ChaosError);
+  // More distinct out-of-range references than the dedup table, sized by
+  // the distribution's extent, has slots: the range check must reject the
+  // first of them before it is inserted, never fill the table and spin.
+  constexpr i64 n = 10;
+  for (const int kind : {0, 2}) {
+    EXPECT_THROW(rt::Machine::run(2,
+                                  [kind](rt::Process& p) {
+                                    auto d = make_dist(p, kind, n);
+                                    std::vector<i64> refs{0, 1};
+                                    for (i64 k = 0; k < 20 * n; ++k) {
+                                      refs.push_back(k % 2 == 0 ? n + k
+                                                                : -1 - k);
+                                    }
+                                    core::InspectorWorkspace ws;
+                                    core::Localized out;
+                                    core::localize(p, *d, refs, ws, out);
+                                  }),
+                 chaos::ChaosError)
+        << kind_name(kind);
+  }
 }

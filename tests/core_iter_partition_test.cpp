@@ -1,8 +1,9 @@
 // Iteration partitioning (Section 4.3): the majority rule, the
-// owner-computes rule, tie-breaking, and the induced remap of
-// iteration-aligned arrays.
+// owner-computes rule, tie-breaking, the induced remap of
+// iteration-aligned arrays, and the pinned modeled cost of one call.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "core/iter_partition.hpp"
@@ -132,4 +133,59 @@ TEST(IterPartition, MisalignedBatchIsRejected) {
                                                           batches);
                        }),
       chaos::ChaosError);
+}
+
+TEST(IterPartition, CostOfOneCallIsPinned) {
+  // One call against a fixed IRREGULAR data distribution (paged, page 64)
+  // with heavily repeating references. The clock charge, the collectives,
+  // barriers and bytes it pays, and the distinct remote globals it ships
+  // are pinned per rank as literals, so a change to how the owner locate
+  // deduplicates its references cannot move the charge unnoticed.
+  struct Cost {
+    chaos::f64 clock_us;
+    i64 collectives, barriers, alltoallv_bytes, wire_queries;
+  };
+  std::array<Cost, 4> got{};
+  rt::Machine::run(4, [&](rt::Process& p) {
+    constexpr i64 ndata = 1000;
+    constexpr i64 niter = 600;
+    auto md = dist::Distribution::block(p, ndata);
+    std::vector<i64> slice(static_cast<std::size_t>(md->my_local_size()));
+    for (std::size_t l = 0; l < slice.size(); ++l) {
+      const i64 g = md->global_of(p.rank(), static_cast<i64>(l));
+      slice[l] = (g * 7 + g / 90) % p.nprocs();
+    }
+    auto ddist = dist::Distribution::irregular_from_map(p, slice, *md, 64);
+    auto idist = dist::Distribution::block(p, niter);
+
+    std::vector<i64> b1, b2, b3;
+    for (i64 l = 0; l < idist->my_local_size(); ++l) {
+      const i64 i = idist->global_of(p.rank(), l);
+      b1.push_back((i * 7) % 211);
+      b2.push_back((i * 13 + 5) % 389 + 600);
+      b3.push_back((i * i) % ndata);
+    }
+    const std::span<const i64> batches[] = {b1, b2, b3};
+    rt::barrier(p);
+    const rt::MessageStats before = p.stats();
+    const chaos::f64 t0 = p.clock().now_us();
+    (void)core::partition_iterations(p, *idist, *ddist, batches);
+    const rt::MessageStats& after = p.stats();
+    got[static_cast<std::size_t>(p.rank())] = Cost{
+        p.clock().now_us() - t0, after.collectives - before.collectives,
+        after.barriers - before.barriers,
+        after.alltoallv_bytes - before.alltoallv_bytes,
+        after.ttable_flat_wire_queries - before.ttable_flat_wire_queries};
+  });
+  const std::array<Cost, 4> want{{{19061.400000000001, 14, 23, 14872, 295},
+                                  {19061.400000000001, 14, 23, 12608, 408},
+                                  {19061.400000000001, 14, 23, 11808, 410},
+                                  {19061.400000000001, 14, 23, 10328, 441}}};
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(got[r].clock_us, want[r].clock_us) << "rank " << r;
+    EXPECT_EQ(got[r].collectives, want[r].collectives) << "rank " << r;
+    EXPECT_EQ(got[r].barriers, want[r].barriers) << "rank " << r;
+    EXPECT_EQ(got[r].alltoallv_bytes, want[r].alltoallv_bytes) << "rank " << r;
+    EXPECT_EQ(got[r].wire_queries, want[r].wire_queries) << "rank " << r;
+  }
 }

@@ -1,6 +1,6 @@
 // The flat CSR dereference as the inspector drives it: localize against an
-// IRREGULAR distribution stages its locate round in the workspace's
-// dereference scratch. The refs and CSR schedule it produces must follow the
+// IRREGULAR distribution runs its locate round through the table's
+// dereference. The refs and CSR schedule it produces must follow the
 // ownership map, a cold localize must cost exactly one table dereference,
 // and a translation cache in front of the dereference must leave refs and
 // schedule bit-identical while its warm pass skips the round. The protocol

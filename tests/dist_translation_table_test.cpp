@@ -1,18 +1,19 @@
 // Translation table: duplicate / coverage detection at build, and the
 // dereference protocol — answers checked against the test's own ownership
 // map on every layout, the 3-collective (paged) / 0-collective (replicated)
-// budget, the edge shapes (empty rank, all-local, P=1), and the out-of-range
-// error text.
+// budget, the edge shapes (empty rank, all-local, P=1), the out-of-range
+// error text, and a seeded differential check of the hashed remote dedup
+// against a brute-force count of distinct remote globals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "dist/dereference_workspace.hpp"
 #include "dist/translation_table.hpp"
 #include "rt/collectives.hpp"
 
@@ -95,13 +96,12 @@ TEST_P(TTableSweep, DereferenceRecoversOwnership) {
     for (i64 g = p.rank(); g < n; g += 3) q.push_back(g);
 
     std::vector<dist::Entry> out;
-    dist::DereferenceWorkspace ws;
-    tt->dereference(p, q, out, ws);
+    tt->dereference(p, q, out);
     expect_answers(map, q, out);
 
-    // Warm repeat through the same workspace: same answers, and the stats
+    // Warm repeat on the same thread's scratch: same answers, and the stats
     // hold the collective budget — exactly 3 per paged call, 0 replicated.
-    tt->dereference(p, q, out, ws);
+    tt->dereference(p, q, out);
     expect_answers(map, q, out);
     EXPECT_EQ(tt->stats().calls, 2);
     EXPECT_EQ(tt->stats().collectives, repl ? 0 : 2 * 3);
@@ -124,8 +124,7 @@ TEST_P(TTableSweep, EmptyQueriesAreLegal) {
     std::vector<i64> q;
     if (p.is_root() && n > 0) q = {0, n - 1, 0};
     std::vector<dist::Entry> out;
-    dist::DereferenceWorkspace ws;
-    tt->dereference(p, q, out, ws);
+    tt->dereference(p, q, out);
     expect_answers(map, q, out);
   });
 }
@@ -137,8 +136,7 @@ TEST(TranslationTable, RepeatedQueriesGetConsistentAnswers) {
     auto tt = dist::TranslationTable::build(p, n, mine_of(map, p.rank()), 8);
     std::vector<i64> q(static_cast<std::size_t>(n), 13);  // same index, n times
     std::vector<dist::Entry> out;
-    dist::DereferenceWorkspace ws;
-    tt->dereference(p, q, out, ws);
+    tt->dereference(p, q, out);
     expect_answers(map, q, out);
   });
 }
@@ -205,12 +203,11 @@ TEST(TranslationTable, EmptyRanksAndAsymmetricQueries) {
         EXPECT_EQ(tt->local_count(2), n / 2);
         EXPECT_EQ(tt->local_count(3), 0);
         std::vector<dist::Entry> out;
-        dist::DereferenceWorkspace ws;
-        tt->dereference(p, all, out, ws);
+        tt->dereference(p, all, out);
         expect_answers(map, all, out);
         std::vector<i64> q;
         if (!mine.empty()) q = {0, n - 1, 0, 7};
-        tt->dereference(p, q, out, ws);
+        tt->dereference(p, q, out);
         expect_answers(map, q, out);
       }
     }
@@ -232,8 +229,7 @@ TEST(TranslationTable, AllLocalQueriesShipNothing) {
       if ((g / page) % p.nprocs() == p.rank()) q.push_back(g);
     }
     std::vector<dist::Entry> out;
-    dist::DereferenceWorkspace ws;
-    tt->dereference(p, q, out, ws);
+    tt->dereference(p, q, out);
     expect_answers(map, q, out);
     EXPECT_EQ(tt->stats().wire_queries, 0);
     EXPECT_EQ(tt->stats().collectives, 3);
@@ -250,8 +246,7 @@ TEST(TranslationTable, SingleProcess) {
     auto tt = dist::TranslationTable::build(p, n, mine, 8, false);
     const std::vector<i64> q = {0, 32, 5, 5, 17};
     std::vector<dist::Entry> out;
-    dist::DereferenceWorkspace ws;
-    tt->dereference(p, q, out, ws);
+    tt->dereference(p, q, out);
     ASSERT_EQ(out.size(), q.size());
     for (std::size_t k = 0; k < q.size(); ++k) {
       EXPECT_EQ(out[k].proc, 0);
@@ -270,8 +265,7 @@ TEST(TranslationTable, OutOfRangeQueryThrowsBeforeAnyCollective) {
       auto tt = dist::TranslationTable::build(p, 10, mine_of(map, p.rank()), 4);
       const std::vector<i64> q = {10};
       std::vector<dist::Entry> out;
-      dist::DereferenceWorkspace ws;
-      tt->dereference(p, q, out, ws);
+      tt->dereference(p, q, out);
     });
     FAIL() << "dereference accepted an out-of-range query";
   } catch (const chaos::ChaosError& e) {
@@ -279,4 +273,101 @@ TEST(TranslationTable, OutOfRangeQueryThrowsBeforeAnyCollective) {
                   "translation table: dereferenced index 10 outside [0, 10)"),
               std::string::npos);
   }
+}
+
+namespace {
+
+// Deals the shuffled [0, n) round-robin over the ranks r with r % 3 != 1,
+// so at P >= 2 some ranks own nothing (rank 1 always among them).
+std::vector<dist::Entry> map_with_empty_ranks(i64 n, int nprocs,
+                                              unsigned seed) {
+  std::vector<chaos::i32> owners;
+  for (int r = 0; r < nprocs; ++r) {
+    if (r % 3 != 1) owners.push_back(r);
+  }
+  std::vector<i64> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
+  std::mt19937 rng(seed);
+  std::shuffle(all.begin(), all.end(), rng);
+  std::vector<dist::Entry> map(static_cast<std::size_t>(n));
+  for (std::size_t k = 0; k < all.size(); ++k) {
+    map[static_cast<std::size_t>(all[k])] =
+        dist::Entry{owners[k % owners.size()],
+                    static_cast<i64>(k / owners.size())};
+  }
+  return map;
+}
+
+}  // namespace
+
+class TTableDifferential
+    : public ::testing::TestWithParam<std::tuple<int, i64>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    ProcsPages, TTableDifferential,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 8),
+                       ::testing::Values<i64>(1, 7, 64, 4096)),
+    [](const auto& info) {
+      return "P" + std::to_string(std::get<0>(info.param)) + "_pg" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST_P(TTableDifferential, DedupedWireMatchesBruteForce) {
+  // Every batch is answered against the ownership map, and the words it
+  // puts on the wire must equal the number of distinct globals homed on
+  // another rank — no more (a missed repeat) and no fewer (a false merge).
+  const auto [P, page] = GetParam();
+  rt::Machine::run(P, [&, page = page](rt::Process& p) {
+    constexpr i64 n = 997;  // prime: the last page is ragged for every size
+    const auto map = map_with_empty_ranks(n, p.nprocs(), 11);
+    auto tt = dist::TranslationTable::build(p, n, mine_of(map, p.rank()),
+                                            page, false);
+    std::mt19937 rng(1234u + static_cast<unsigned>(p.rank()));
+
+    std::vector<std::vector<i64>> batches;
+    // Shuffled, heavily repeating: 3n draws from a pool of n/8 globals. The
+    // last rank of a multi-rank machine asks nothing.
+    std::vector<i64> pool(static_cast<std::size_t>(n / 8));
+    std::uniform_int_distribution<i64> any(0, n - 1);
+    for (auto& g : pool) g = any(rng);
+    std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
+    std::vector<i64> repeats;
+    if (p.nprocs() == 1 || p.rank() != p.nprocs() - 1) {
+      for (i64 k = 0; k < 3 * n; ++k) repeats.push_back(pool[pick(rng)]);
+    }
+    batches.push_back(repeats);
+    // Strictly ascending (the build_remap shape): every third global from a
+    // rank-dependent start.
+    std::vector<i64> ascending;
+    for (i64 g = p.rank() % 3; g < n; g += 3) ascending.push_back(g);
+    batches.push_back(ascending);
+    // Ascending but not strictly: repeats next to each other must still be
+    // merged on the wire.
+    std::vector<i64> plateaus;
+    for (i64 g = 0; g < n; g += 5) plateaus.insert(plateaus.end(), 3, g);
+    batches.push_back(plateaus);
+    // A second, smaller shuffled call after the large ones: the thread's
+    // scratch is bigger than this call needs and holds the old entries.
+    std::vector<i64> small;
+    for (int k = 0; k < 9; ++k) small.push_back(pool[pick(rng)]);
+    small.push_back(small.front());
+    batches.push_back(small);
+
+    std::vector<dist::Entry> out;
+    for (const auto& q : batches) {
+      std::set<i64> remote;
+      for (const i64 g : q) {
+        if ((g / page) % p.nprocs() != p.rank()) remote.insert(g);
+      }
+      const i64 wire_before = tt->stats().wire_queries;
+      const i64 flat_before = p.stats().ttable_flat_wire_queries;
+      tt->dereference(p, q, out);
+      expect_answers(map, q, out);
+      EXPECT_EQ(tt->stats().wire_queries - wire_before,
+                static_cast<i64>(remote.size()));
+      EXPECT_EQ(p.stats().ttable_flat_wire_queries - flat_before,
+                static_cast<i64>(remote.size()));
+    }
+    EXPECT_EQ(tt->stats().collectives, 3 * static_cast<i64>(batches.size()));
+  });
 }
