@@ -11,16 +11,7 @@ i64 InspectorWorkspace::dedup_batches(
   std::size_t total = 0;
   for (const auto& b : batches) total += b.size();
   const std::size_t bound = std::min(total, static_cast<std::size_t>(n));
-  std::size_t cap = slot_key_.size();
-  if (cap < 2 * bound || cap == 0) {
-    cap = 16;
-    while (cap < 2 * bound) cap <<= 1;
-    slot_key_.resize(cap);
-    slot_id_.resize(cap);
-    slot_epoch_.resize(cap, 0);
-  }
-  mask_ = cap - 1;
-  ++epoch_;  // every slot of an older pass now reads as empty
+  dedup_.begin(static_cast<i64>(bound));
   distinct_.clear();
   distinct_.reserve(bound);
   pos_ids_.resize(total);
@@ -247,14 +238,18 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
   i64 novel = 0;
   i64 departed = 0;
   if (eligible) {
-    ws.build_prev_table(snap.distinct);
+    ws.prev_.begin(static_cast<i64>(snap.distinct.size()));
+    for (std::size_t q = 0; q < snap.distinct.size(); ++q) {
+      auto [id, fresh] = ws.prev_.find_or_insert(snap.distinct[q]);
+      if (fresh) id = static_cast<u32>(q);
+    }
     ws.prev_matched_.assign(snap.distinct.size(), 0);
     ws.entries_.resize(static_cast<std::size_t>(distinct));
     ws.is_novel_.assign(static_cast<std::size_t>(distinct), 0);
     ws.novel_ids_.clear();
     for (i64 k = 0; k < distinct; ++k) {
       const i64 g = ws.distinct_[static_cast<std::size_t>(k)];
-      const i64 q = ws.prev_lookup(g);
+      const i64 q = ws.prev_.find(g);
       if (q >= 0) {
         ws.entries_[static_cast<std::size_t>(k)] =
             snap.entries[static_cast<std::size_t>(q)];

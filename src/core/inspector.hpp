@@ -23,6 +23,7 @@
 
 #include "core/plan_options.hpp"
 #include "core/schedule.hpp"
+#include "dist/dedup_table.hpp"
 #include "dist/distribution.hpp"
 #include "dist/translation_cache.hpp"
 #include "rt/collectives.hpp"
@@ -168,70 +169,17 @@ class InspectorWorkspace {
   i64 dedup_batches(std::span<const std::span<const i64>> batches, i64 n);
 
   /// Distinct ordinal of global @p g, minting one (first-occurrence order)
-  /// on the first sighting this epoch.
+  /// on the first sighting this pass.
   [[nodiscard]] i64 dedup_id(i64 g) {
-    std::size_t s =
-        static_cast<std::size_t>(dist::detail::mix64(static_cast<u64>(g))) &
-        mask_;
-    while (true) {
-      if (slot_epoch_[s] != epoch_) {
-        slot_epoch_[s] = epoch_;
-        slot_key_[s] = g;
-        const i64 id = static_cast<i64>(distinct_.size());
-        slot_id_[s] = id;
-        distinct_.push_back(g);
-        return id;
-      }
-      if (slot_key_[s] == g) return slot_id_[s];
-      s = (s + 1) & mask_;
+    auto [id, fresh] = dedup_.find_or_insert(g);
+    if (fresh) {
+      id = static_cast<u32>(distinct_.size());
+      distinct_.push_back(g);
     }
+    return id;
   }
 
-  /// (Re)builds the repair diff table over @p prev_globals (the snapshot's
-  /// distinct set). Same epoch-tagged open-addressing shape as the dedup
-  /// table, kept separate so a repair never perturbs dedup state.
-  void build_prev_table(std::span<const i64> prev_globals) {
-    std::size_t cap = prev_key_.size();
-    if (cap < 2 * prev_globals.size() || cap == 0) {
-      cap = 16;
-      while (cap < 2 * prev_globals.size()) cap <<= 1;
-      prev_key_.resize(cap);
-      prev_id_.resize(cap);
-      prev_epoch_.resize(cap, 0);
-    }
-    prev_mask_ = cap - 1;
-    ++prev_gen_;
-    for (std::size_t q = 0; q < prev_globals.size(); ++q) {
-      std::size_t s = static_cast<std::size_t>(dist::detail::mix64(
-                          static_cast<u64>(prev_globals[q]))) &
-                      prev_mask_;
-      while (prev_epoch_[s] == prev_gen_) s = (s + 1) & prev_mask_;
-      prev_epoch_[s] = prev_gen_;
-      prev_key_[s] = prev_globals[q];
-      prev_id_[s] = static_cast<i64>(q);
-    }
-  }
-
-  /// Snapshot ordinal of @p g, or -1 if the global is novel.
-  [[nodiscard]] i64 prev_lookup(i64 g) const {
-    std::size_t s =
-        static_cast<std::size_t>(dist::detail::mix64(static_cast<u64>(g))) &
-        prev_mask_;
-    while (prev_epoch_[s] == prev_gen_) {
-      if (prev_key_[s] == g) return prev_id_[s];
-      s = (s + 1) & prev_mask_;
-    }
-    return -1;
-  }
-
-  // Dedup table: open addressing, splitmix64 probing, epoch-tagged slots so
-  // a reset is one counter bump instead of an O(capacity) clear.
-  std::vector<i64> slot_key_;
-  std::vector<i64> slot_id_;
-  std::vector<u64> slot_epoch_;
-  std::size_t mask_ = 0;
-  u64 epoch_ = 0;
-
+  dist::DedupTable dedup_;      ///< global -> distinct ordinal, this pass
   std::vector<i64> pos_ids_;    ///< distinct ordinal per reference position
   std::vector<i64> distinct_;   ///< distinct globals, first-occurrence order
   std::vector<dist::Entry> entries_;  ///< resolved entry per distinct global
@@ -249,11 +197,7 @@ class InspectorWorkspace {
   // Repair scratch (detail::repair_into): the snapshot diff table, the
   // novel/departed classification, the per-owner splice-script CSR, and the
   // splice staging handed to CommSchedule::splice_send. All grow-only.
-  std::vector<i64> prev_key_;
-  std::vector<i64> prev_id_;
-  std::vector<u64> prev_epoch_;
-  std::size_t prev_mask_ = 0;
-  u64 prev_gen_ = 0;
+  dist::DedupTable prev_;         ///< snapshot global -> snapshot ordinal
   std::vector<u8> prev_matched_;  ///< per snapshot ordinal: survived?
   std::vector<u8> is_novel_;      ///< per new distinct ordinal
   std::vector<i64> novel_ids_;    ///< novel ordinals into distinct_

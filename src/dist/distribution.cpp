@@ -1,52 +1,10 @@
 #include "dist/distribution.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "rt/collectives.hpp"
 
 namespace chaos::dist {
-
-namespace {
-
-/// Merges strictly ascending blocks into one ascending list, pairing
-/// neighbouring runs each round: ceil(log2 P) sequential passes, no sort.
-std::vector<i64> merge_ascending(const std::vector<std::vector<i64>>& blocks) {
-  std::vector<i64> runs;
-  std::vector<std::size_t> ends;  // end of each run inside `runs`
-  std::size_t total = 0;
-  for (const auto& b : blocks) total += b.size();
-  runs.reserve(total);
-  ends.reserve(blocks.size());
-  for (const auto& b : blocks) {
-    CHAOS_CHECK(std::adjacent_find(b.begin(), b.end(),
-                                   std::greater_equal<>()) == b.end(),
-                "irregular_from_map: a peer's globals are not strictly "
-                "ascending");
-    runs.insert(runs.end(), b.begin(), b.end());
-    ends.push_back(runs.size());
-  }
-  std::vector<i64> merged(ends.size() > 1 ? total : 0);
-  while (ends.size() > 1) {
-    std::size_t lo = 0;
-    for (std::size_t k = 0; k < ends.size(); k += 2) {
-      const std::size_t mid = ends[k];
-      const std::size_t hi = k + 1 < ends.size() ? ends[k + 1] : mid;
-      std::merge(runs.begin() + static_cast<std::ptrdiff_t>(lo),
-                 runs.begin() + static_cast<std::ptrdiff_t>(mid),
-                 runs.begin() + static_cast<std::ptrdiff_t>(mid),
-                 runs.begin() + static_cast<std::ptrdiff_t>(hi),
-                 merged.begin() + static_cast<std::ptrdiff_t>(lo));
-      ends[k / 2] = hi;
-      lo = hi;
-    }
-    ends.resize((ends.size() + 1) / 2);
-    runs.swap(merged);
-  }
-  return runs;
-}
-
-}  // namespace
 
 std::shared_ptr<const Distribution> Distribution::block(rt::Process& p,
                                                         i64 n) {
@@ -86,9 +44,7 @@ std::shared_ptr<const Distribution> Distribution::irregular_from_map(
               "distribution");
   const i64 n = map_dist.size();
 
-  // Route each global to its assigned owner in one exchange. Every kind's
-  // my_global_of increases with l, so each block arrives strictly ascending
-  // and the owner merges them instead of sorting.
+  // Route each global to its assigned owner in one exchange.
   std::vector<std::vector<i64>> outgoing(static_cast<std::size_t>(p.nprocs()));
   for (std::size_t l = 0; l < map_slice.size(); ++l) {
     const i64 owner = map_slice[l];
@@ -102,7 +58,13 @@ std::shared_ptr<const Distribution> Distribution::irregular_from_map(
 
   auto d = std::shared_ptr<Distribution>(new Distribution());
   d->my_rank_ = p.rank();
-  d->my_globals_ = merge_ascending(incoming);
+  std::size_t total = 0;
+  for (const auto& block : incoming) total += block.size();
+  d->my_globals_.reserve(total);
+  for (const auto& block : incoming) {
+    d->my_globals_.insert(d->my_globals_.end(), block.begin(), block.end());
+  }
+  std::sort(d->my_globals_.begin(), d->my_globals_.end());
   p.clock().charge_ops(static_cast<i64>(d->my_globals_.size()),
                        p.params().mem_us_per_word);
 

@@ -1,10 +1,8 @@
 #include "dist/translation_table.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <limits>
 
-#include "dist/dad.hpp"
+#include "dist/dedup_table.hpp"
 #include "rt/collectives.hpp"
 
 namespace chaos::dist {
@@ -16,15 +14,6 @@ struct Claim {
   i64 g;      ///< global index
   i64 local;  ///< local offset at the owner
 };
-
-/// One slot of the remote-query dedup table: a global, the dereference call
-/// that wrote it, and the global's index within its home's request segment.
-struct DedupSlot {
-  i64 g = 0;
-  u32 epoch = 0;
-  u32 pos = 0;
-};
-static_assert(sizeof(DedupSlot) == 16);
 
 /// Everything one paged dereference stages. Every buffer grows
 /// monotonically and the dedup table resets by bumping its epoch, so a warm
@@ -39,22 +28,7 @@ struct DerefScratch {
   std::vector<i64> peer_req;      ///< globals peers ask this process
   std::vector<Entry> reply;       ///< answers shipped back to peers
   std::vector<Entry> answers;     ///< answers received, aligned with req
-  std::vector<DedupSlot> slots;   ///< open addressing, linear probing
-  u32 epoch = 0;
-
-  /// Opens a dedup pass over at most @p bound distinct globals: the table
-  /// gets a load factor <= 1/2 and every slot of an older pass reads as
-  /// empty. Returns the probe mask.
-  std::size_t begin_dedup(i64 bound) {
-    const std::size_t cap = std::bit_ceil(
-        std::max<std::size_t>(16, 2 * static_cast<std::size_t>(bound)));
-    if (slots.size() < cap) slots.resize(cap);
-    if (++epoch == 0) {  // wrapped: retag every slot as empty
-      for (auto& slot : slots) slot.epoch = 0;
-      epoch = 1;
-    }
-    return cap - 1;
-  }
+  DedupTable dedup;               ///< remote global -> index in its segment
 };
 
 /// One scratch per thread. A dereference is a leaf collective that never
@@ -220,7 +194,10 @@ void TranslationTable::dereference(rt::Process& p,
 
   // Pass 2: give every distinct remote global its index within its home's
   // request segment, first occurrence order; repeats reuse it. A strictly
-  // ascending batch has no repeats, so it skips the dedup table.
+  // ascending batch has no repeats, so it skips the table and never grows
+  // it: build_remap's my_globals() is such a batch, and on workloads where
+  // it is the only locate with remote queries the table would cost every
+  // rank thread memory for nothing.
   if (ascending) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       if (s.home[i] >= 0) {
@@ -228,24 +205,15 @@ void TranslationTable::dereference(rt::Process& p,
       }
     }
   } else {
-    CHAOS_CHECK(remote <= i64{std::numeric_limits<u32>::max()},
-                "translation table: too many queries in one dereference");
-    const std::size_t mask = s.begin_dedup(std::min(remote, n_));
+    s.dedup.begin(std::min(remote, n_));
     for (std::size_t i = 0; i < queries.size(); ++i) {
       if (s.home[i] < 0) continue;
-      const i64 q = queries[i];
-      std::size_t k =
-          static_cast<std::size_t>(detail::mix64(static_cast<u64>(q))) & mask;
-      while (s.slots[k].epoch == s.epoch && s.slots[k].g != q) {
-        k = (k + 1) & mask;
+      auto [idx, fresh] = s.dedup.find_or_insert(queries[i]);
+      if (fresh) {
+        idx = static_cast<u32>(
+            my_counts[static_cast<std::size_t>(s.home[i])]++);
       }
-      DedupSlot& slot = s.slots[k];
-      if (slot.epoch != s.epoch) {
-        slot = DedupSlot{q, s.epoch,
-                         static_cast<u32>(
-                             my_counts[static_cast<std::size_t>(s.home[i])]++)};
-      }
-      s.pos[i] = slot.pos;
+      s.pos[i] = idx;
     }
   }
 

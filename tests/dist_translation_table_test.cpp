@@ -2,8 +2,9 @@
 // dereference protocol — answers checked against the test's own ownership
 // map on every layout, the 3-collective (paged) / 0-collective (replicated)
 // budget, the edge shapes (empty rank, all-local, P=1), the out-of-range
-// error text, and a seeded differential check of the hashed remote dedup
-// against a brute-force count of distinct remote globals.
+// error text, a seeded differential check of the hashed remote dedup
+// against a brute-force count of distinct remote globals, and the
+// find-or-insert table that dedup runs on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "dist/dedup_table.hpp"
 #include "dist/translation_table.hpp"
 #include "rt/collectives.hpp"
 
@@ -370,4 +372,34 @@ TEST_P(TTableDifferential, DedupedWireMatchesBruteForce) {
     }
     EXPECT_EQ(tt->stats().collectives, 3 * static_cast<i64>(batches.size()));
   });
+}
+
+TEST(DedupTable, KeepsTheCallersIdsForOnePass) {
+  // The table never picks an id: a new key holds what the caller writes,
+  // every repeat reads it back, and a new pass forgets the old keys.
+  dist::DedupTable t;
+  t.begin(100);
+  for (i64 k = 0; k < 100; ++k) {
+    auto [id, fresh] = t.find_or_insert(k * 1009);
+    ASSERT_TRUE(fresh);
+    id = static_cast<chaos::u32>(99 - k);
+  }
+  for (i64 k = 0; k < 100; ++k) {
+    auto [id, fresh] = t.find_or_insert(k * 1009);
+    EXPECT_FALSE(fresh);
+    EXPECT_EQ(id, 99 - k);
+    EXPECT_EQ(t.find(k * 1009), 99 - k);
+  }
+  EXPECT_EQ(t.find(1), -1);
+  // A new pass forgets every key, whether it probes the whole table again
+  // or a smaller prefix of it that still holds the older slots.
+  t.begin(100);
+  EXPECT_EQ(t.find(1009), -1);
+  EXPECT_TRUE(t.find_or_insert(1009).second);
+  t.begin(3);
+  EXPECT_EQ(t.find(0), -1);
+  EXPECT_EQ(t.find(1009), -1);
+  EXPECT_TRUE(t.find_or_insert(0).second);
+  EXPECT_FALSE(t.find_or_insert(0).second);
+  EXPECT_THROW(t.begin(i64{1} << 33), chaos::ChaosError);
 }
