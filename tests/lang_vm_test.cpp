@@ -39,6 +39,7 @@ struct Scenario {
   bool reuse = true;
   /// Pinned reuse ledgers, the same at every P; -1 = not pinned.
   i64 plan_misses = -1, plan_hits = -1;
+  i64 plan_repairs = -1, plan_fallbacks = -1;
   i64 mapper_misses = -1, mapper_hits = -1;
   bool charges_every_phase = false;
 };
@@ -407,6 +408,33 @@ C$    ALIGN x, w, s, y, z, a, hi, lo, ia, ib, perm WITH reg
   blocks.reals["S"] = bs;
   blocks.ints = {{"IA", bia}, {"IB", bib}, {"PERM", bperm}};
   out.push_back(blocks);
+
+  // Writing Y stamps the DAD that IA and IB share with it, so every step
+  // after the first finds a plan whose DADs match but whose indirection
+  // stamp is stale: CHECK_INCARNATION repairs it, through the data
+  // schedule and the assign schedule of Y, with an empty delta.
+  Scenario repair;
+  repair.name = "repair_every_step";
+  repair.source = R"(
+      REAL*8 x(n), y(n)
+      INTEGER ia(n), ib(n)
+C$    DECOMPOSITION reg(n)
+C$    DISTRIBUTE reg(BLOCK)
+C$    ALIGN x, y, ia, ib WITH reg
+      DO step = 1, 4
+      FORALL i = 1, n
+        y(ia(i)) = 2.0 * x(ib(i)) + step
+      END FORALL
+      END DO
+)";
+  repair.params["N"] = n;
+  repair.reals["X"] = ramp;
+  repair.ints = {{"IA", perm7}, {"IB", perm5}};
+  repair.plan_misses = 1;
+  repair.plan_hits = 0;
+  repair.plan_repairs = 3;
+  repair.plan_fallbacks = 0;
+  out.push_back(repair);
   return out;
 }
 
@@ -458,6 +486,10 @@ TEST_P(VmScenario, MatchesTheReferenceAndReproduces) {
     if (sc.plan_misses >= 0) {
       EXPECT_EQ(a.plan.misses, sc.plan_misses);
       EXPECT_EQ(a.plan.hits, sc.plan_hits);
+    }
+    if (sc.plan_repairs >= 0) {
+      EXPECT_EQ(a.plan.repairs, sc.plan_repairs);
+      EXPECT_EQ(a.plan.repair_fallbacks, sc.plan_fallbacks);
     }
     if (sc.mapper_misses >= 0) {
       EXPECT_EQ(a.mapper.misses, sc.mapper_misses);
