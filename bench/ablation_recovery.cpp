@@ -25,7 +25,6 @@
 
 #include "bench/alloc_hook.hpp"
 #include "bench/common.hpp"
-#include "dist/remap.hpp"
 #include "dist/translation_cache.hpp"
 #include "rt/fault.hpp"
 
@@ -128,16 +127,10 @@ PipelineRun run_pipeline(rt::Machine& machine, const bench::Workload& w,
     // staged-but-uncommitted cache insertions from the aborted attempt are
     // discarded inside localize, so the retry's miss vote — and its modeled
     // clock — match a clean run.
-    s.plan.build.begin_build();
-    const std::span<const i64> batches[] = {s.e1, s.e2};
-    s.plan.iters =
-        core::partition_iterations(p, *s.reg2, *s.data_dist, batches,
-                                   core::IterRule::MostLocalReferences,
-                                   kPageSize);
-    s.plan.end1 = dist::apply_remap<i64>(p, s.plan.iters.remap, s.e1);
-    s.plan.end2 = dist::apply_remap<i64>(p, s.plan.iters.remap, s.e2);
-    const std::span<const i64> remapped[] = {s.plan.end1, s.plan.end2};
-    core::localize_many(p, *s.data_dist, remapped, s.plan.iws, s.plan.loc);
+    const std::span<const i64> slices[] = {s.e1, s.e2};
+    s.plan.partition(p, *s.reg2, *s.data_dist, slices,
+                     core::IterRule::MostLocalReferences, kPageSize);
+    s.plan.localize(p, *s.data_dist);
     s.plan.build.mark_built();
   };
 

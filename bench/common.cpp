@@ -145,24 +145,19 @@ PhaseResult run_hand_pipeline(int procs, const Workload& w,
     }
     core::EdgeLoopPlan plan;
     plan.iws.configure(opts);
+    // When reuse is off the plan is rebuilt in place every iteration, so
+    // the re-localize runs through warm buffers.
     auto build_plan = [&] {
-      plan.build.begin_build();
       {
         rt::ClockSection t(p.clock());
-        const std::span<const i64> batches[] = {e1, e2};
-        plan.iters = core::partition_iterations(
-            p, *reg2, *data_dist, batches, cfg.iter_rule,
-            cfg.ttable_page_size);
-        plan.end1 = dist::apply_remap<i64>(p, plan.iters.remap, e1);
-        plan.end2 = dist::apply_remap<i64>(p, plan.iters.remap, e2);
+        const std::span<const i64> slices[] = {e1, e2};
+        plan.partition(p, *reg2, *data_dist, slices, cfg.iter_rule,
+                       cfg.ttable_page_size);
         t_remap += t.elapsed_sec();
       }
       {
         rt::ClockSection t(p.clock());
-        const std::span<const i64> remapped[] = {plan.end1, plan.end2};
-        // Workspace overload: when reuse is off and the plan is rebuilt
-        // every iteration, the re-localize runs through warm buffers.
-        core::localize_many(p, *data_dist, remapped, plan.iws, plan.loc);
+        plan.localize(p, *data_dist);
         t_insp += t.elapsed_sec();
       }
       plan.build.mark_built();

@@ -4,6 +4,7 @@
 // actual implementation (not modeled time).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -100,14 +101,14 @@ void BM_GatherScatter(benchmark::State& state) {
       core::InspectorWorkspace iws;
       core::Localized loc;
       core::localize(p, *d, refs, iws, loc);
-      x.resize_ghost(loc.schedule.nghost);
       // Steady-state executor idiom: one workspace reused across sweeps,
       // so everything after the first sweep is allocation-free.
       core::ExecutorWorkspace<f64> ws;
       for (int sweep = 0; sweep < 8; ++sweep) {
-        core::gather_ghosts<f64>(p, loc.schedule, x.local(), x.ghost(), ws);
-        const auto acc = ws.ghost_accumulator(loc.schedule, 0.5);
-        core::scatter_reduce<f64>(p, loc.schedule, x.local(), acc,
+        core::gather_ghosts<f64>(p, loc.schedule, x, ws);
+        // The gathered tail doubles as the accumulator scattered back.
+        std::fill(x.ghost().begin(), x.ghost().end(), 0.5);
+        core::scatter_reduce<f64>(p, loc.schedule, x.local(), x.ghost(),
                                   core::ReduceOp::Add, ws);
       }
     });

@@ -13,7 +13,6 @@
 // and a scatter needs no pack copy.
 #pragma once
 
-#include <algorithm>
 #include <limits>
 #include <span>
 #include <vector>
@@ -51,8 +50,8 @@ constexpr T reduce_identity(ReduceOp op) {
   return T{};
 }
 
-/// Reusable staging memory for the schedule-driven movers. Buffers grow
-/// monotonically and are sized once from the schedule, so every call after
+/// Reusable staging memory for the schedule-driven movers. The buffer grows
+/// monotonically and is sized once from the schedule, so every call after
 /// the first performs zero heap allocations. Plans own one workspace per
 /// loop; every mover below takes one.
 template <typename T>
@@ -66,21 +65,8 @@ class ExecutorWorkspace {
     return std::span<T>(stage_.data(), need);
   }
 
-  /// Ghost accumulator scratch (size schedule.nghost), refilled with @p init
-  /// on every call; the fill touches memory but allocates nothing once the
-  /// buffer has grown to the schedule's size.
-  [[nodiscard]] std::span<T> ghost_accumulator(const CommSchedule& schedule,
-                                               T init) {
-    const auto need = static_cast<std::size_t>(schedule.nghost);
-    if (ghost_.size() < need) ghost_.resize(need);
-    const std::span<T> out(ghost_.data(), need);
-    std::fill(out.begin(), out.end(), init);
-    return out;
-  }
-
  private:
   std::vector<T> stage_;
-  std::vector<T> ghost_;
 };
 
 namespace detail {
@@ -152,8 +138,9 @@ void gather_ghosts(rt::Process& p, const CommSchedule& schedule,
   gather_unpack(p, schedule);
 }
 
-/// Convenience overload operating on a DistributedArray (resizes its ghost
-/// region to fit the schedule).
+/// Convenience overload operating on a DistributedArray: fills the ghost
+/// tail of its [owned | ghost] buffer in place, resizing it to fit the
+/// schedule.
 template <typename T>
 void gather_ghosts(rt::Process& p, const CommSchedule& schedule,
                    dist::DistributedArray<T>& a, ExecutorWorkspace<T>& ws) {
@@ -163,7 +150,7 @@ void gather_ghosts(rt::Process& p, const CommSchedule& schedule,
 
 /// Collective scatter-reduce: sends each ghost slot's accumulated value back
 /// to the owner, which folds it into its local element with @p op. Used
-/// after reduction loops that wrote into ghost accumulators. Reverse of
+/// after reduction loops that folded into a ghost tail. Reverse of
 /// gather: the ghost region is already sliced by source rank, so it is the
 /// exchange's flat send buffer verbatim; the unpack folds straight from the
 /// staging buffer through the flat send-index array.

@@ -1,13 +1,14 @@
-// FORALL loop drivers: the code shapes the paper's compiler generates for
-// its two canonical irregular loops (Figure 1), packaged as inspector
-// (collective, produces a reusable plan) + executor (collective, runs the
-// computation through the plan's schedules).
+// FORALL loop plans and drivers: the inspector/executor code shape the
+// paper's compiler generates for an irregular loop (Figure 1), and that a
+// programmer writes by hand with the same runtime calls.
 //
+//   IrregularLoopPlan  — the inspector product every irregular loop shares:
+//                        N indirection batches remapped onto one iteration
+//                        partition and localized against one data
+//                        distribution. The bytecode VM's LoopPlan holds one.
 //   EdgeReductionLoop  — loop L2:  FORALL i = 1,N
 //                                    REDUCE(ADD, y(e1(i)), f(x(e1),x(e2)))
 //                                    REDUCE(ADD, y(e2(i)), g(x(e1),x(e2)))
-//   SingleStatementLoop — loop L1: FORALL i = 1,N
-//                                    y(ia(i)) = f(x(ib(i)), x(ic(i)))
 //
 // Plans are shared_ptr products designed to live in an InspectorCache keyed
 // by loop id, guarded by the Section 3 reuse conditions.
@@ -25,43 +26,92 @@
 
 namespace chaos::core {
 
-/// Inspector product for an L2-style edge reduction sweep.
-struct EdgeLoopPlan {
+/// Inspector product of one irregular loop: N indirection batches (one value
+/// per iteration each) remapped onto an iteration partition and localized
+/// together against one data distribution, with one shared schedule. The
+/// build is split where the VM splits PARTITION from LOCALIZE, so callers
+/// time partition + remap apart from localize. partition() and repair() open
+/// a build; the caller marks it built once its last schedule is in place, so
+/// a loop that adds schedules of its own (the VM's assign schedules) is
+/// never ready early.
+struct IrregularLoopPlan {
+  explicit IrregularLoopPlan(std::size_t nbatches)
+      : batches(nbatches), sources(nbatches) {}
+
   IterationPartition iters;
-  /// Indirection values remapped onto the executing processes (one value per
-  /// local iteration of iters.iter_dist).
-  std::vector<i64> end1, end2;
-  /// Pre-remap indirection slices as of the last successful build or repair
-  /// (this rank's segments of the caller's ept1/ept2). The repair path diffs
-  /// the caller's NEW slices against these so only changed endpoints ride
-  /// the remap — communication ∝ delta, not mesh.
-  std::vector<i64> src1, src2;
-  /// Localized references of end1/end2 against the data distribution, with
-  /// the shared communication schedule.
+  /// Indirection values remapped onto the executing processes: per batch,
+  /// one value per local iteration of iters.iter_dist.
+  std::vector<std::vector<i64>> batches;
+  /// Pre-remap slices as of the last build or repair (this rank's segments
+  /// of the caller's indirection arrays). Repair diffs the caller's NEW
+  /// slices against these, so only changed values ride the remap.
+  std::vector<std::vector<i64>> sources;
+  /// The batches localized against the data distribution, with their
+  /// shared communication schedule.
   LocalizedMany loc;
-  /// Repair baseline: the distinct set + entries the schedule was last
-  /// built/spliced from (DESIGN.md §14).
+  /// Repair baseline of loc's schedule (DESIGN.md §14).
   LocalizeSnapshot snap;
+  /// Inspector staging (dedup table, distinct arena, request CSR): an
+  /// in-place rebuild re-localizes through warm buffers; attach a
+  /// dist::TranslationCache (via PlanOptions) to also skip warm locates.
+  InspectorWorkspace iws;
+  /// Delta-remap staging, bound to iters.remap; partition() resets it.
+  dist::RemapDeltaWorkspace remap_ws;
+  std::vector<i64> delta_pos, delta_val;  ///< changed-slice diff scratch
+  /// Build validity stamp: executors refuse a plan that is not ready
+  /// (DESIGN.md §11).
+  PlanBuildState build;
+
+  /// Collective phases B and C: partitions the iterations of @p iter_space
+  /// by the homes of @p slices' references in @p data_dist and remaps each
+  /// slice onto the partition. Opens a build.
+  void partition(rt::Process& p, const dist::Distribution& iter_space,
+                 const dist::Distribution& data_dist,
+                 std::span<const std::span<const i64>> slices,
+                 IterRule rule = IterRule::MostLocalReferences,
+                 i64 page_size = 4096);
+
+  /// Collective phase D: localizes the batches against @p data_dist and
+  /// captures the repair baseline.
+  void localize(rt::Process& p, const dist::Distribution& data_dist);
+
+  /// Collective incremental repair (DESIGN.md §14) for CHANGED indirection
+  /// values: same iteration and data distributions, new @p slices contents.
+  /// Votes eligibility before mutating anything, ships only changed values
+  /// through the remap, locates only novel globals and splices the
+  /// schedule, which then matches a full rebuild of the same inputs bit for
+  /// bit. Returns false when a machine-wide vote rejects (delta over
+  /// threshold, repair off, or hard ineligibility): a plan that had started
+  /// to change is then left NOT ready and the caller must rebuild it. Every
+  /// rank calls together and gets the same answer.
+  [[nodiscard]] bool repair(rt::Process& p,
+                            std::span<const std::span<const i64>> slices,
+                            const dist::Distribution& data_dist);
+
+ private:
+  /// The batches as the spans localize takes (grow-only scratch).
+  std::span<const std::span<const i64>> batch_spans();
+  std::vector<std::span<const i64>> spans_;
+};
+
+/// Inspector product for an L2-style edge reduction sweep: the shared plan
+/// with two batches, end1 (from e1) and end2 (from e2), plus the executor's
+/// staging. Not copyable: end1 and end2 are bound to this plan's batches.
+struct EdgeLoopPlan : IrregularLoopPlan {
+  EdgeLoopPlan() : IrregularLoopPlan(2), end1(batches[0]), end2(batches[1]) {}
+  EdgeLoopPlan(const EdgeLoopPlan&) = delete;
+  EdgeLoopPlan& operator=(const EdgeLoopPlan&) = delete;
+
+  std::vector<i64>& end1;
+  std::vector<i64>& end2;
   /// Executor staging, sized once from the schedule on the first sweep so
   /// repeated execute() calls through this plan allocate nothing. Mutable:
   /// scratch identity, not part of the plan's logical state.
   mutable ExecutorWorkspace<f64> ws;
-  /// Inspector staging (dedup table, distinct arena, request CSR). Callers
-  /// that rebuild a plan in place — the no-reuse pipelines re-running the
-  /// inspector every sweep — re-localize through warm buffers; attach a
-  /// dist::TranslationCache (via PlanOptions) to also skip warm locates.
-  InspectorWorkspace iws;
-  /// Delta-remap staging (inverse placement map + payload CSR), grow-only.
-  dist::RemapDeltaWorkspace remap_ws;
-  std::vector<i64> delta_pos, delta_val;  ///< changed-slice diff scratch
-  /// Build validity stamp: a failed (thrown-through) inspection leaves the
-  /// plan not ready and execute() refuses it (DESIGN.md §11).
-  PlanBuildState build;
 
   [[nodiscard]] i64 my_iterations() const {
     return static_cast<i64>(end1.size());
   }
-  [[nodiscard]] const PlanOptions& options() const { return iws.options(); }
 };
 
 class EdgeReductionLoop {
@@ -77,24 +127,17 @@ class EdgeReductionLoop {
       IterRule rule = IterRule::MostLocalReferences,
       const PlanOptions& opts = {});
 
-  /// Collective incremental repair (DESIGN.md §14): updates @p plan in
-  /// place for CHANGED indirection values — same edge and data
-  /// distributions, same iteration partition, new ept1/ept2 contents. Ships
-  /// only changed endpoints through the remap, locates only novel globals,
-  /// and splices the schedule; on success the plan is bit-identical to a
-  /// full inspect() of the same inputs. Returns false when the machine-wide
-  /// vote rejects (delta over threshold, repair off, or hard
-  /// ineligibility) — the plan is then left NOT ready and the caller must
-  /// run a full inspect(). Every rank calls together.
+  /// Collective incremental repair of @p plan for new ept1/ept2 contents
+  /// (IrregularLoopPlan::repair); on success the plan is ready again.
   [[nodiscard]] static bool repair(rt::Process& p, EdgeLoopPlan& plan,
                                    std::span<const i64> ept1,
                                    std::span<const i64> ept2,
                                    const dist::Distribution& data_dist);
 
-  /// Collective executor (phase E): gathers x ghosts, sweeps local
-  /// iterations computing y(e1) += f(x1,x2) and y(e2) += g(x1,x2) into local
-  /// or ghost accumulators, then scatter-adds the ghost contributions back.
-  /// @p flops_per_edge models the cost of one f+g evaluation pair.
+  /// Collective executor (phase E): gathers x's ghosts into x's tail, sweeps
+  /// the local iterations folding y(e1) += f(x1,x2) and y(e2) += g(x1,x2)
+  /// into y's [owned | zeroed ghost] buffer, then scatter-adds y's tail back
+  /// to the owners. @p flops_per_edge models the cost of one f+g pair.
   template <typename F, typename G>
   static void execute(rt::Process& p, const EdgeLoopPlan& plan,
                       dist::DistributedArray<f64>& x,
@@ -103,115 +146,29 @@ class EdgeReductionLoop {
     CHAOS_CHECK(plan.build.ready(),
                 "EdgeReductionLoop::execute: plan build incomplete — a "
                 "failed inspection must be retried before executing");
-    gather_ghosts(p, plan.loc.schedule, x, plan.ws);
-    const std::span<f64> y_ghost_acc =
-        plan.ws.ghost_accumulator(plan.loc.schedule, 0.0);
-    const i64 nlocal = plan.loc.schedule.nlocal_at_build;
-    auto deposit = [&](i64 ref, f64 v) {
-      if (ref < nlocal) {
-        y.local()[static_cast<std::size_t>(ref)] += v;
-      } else {
-        y_ghost_acc[static_cast<std::size_t>(ref - nlocal)] += v;
-      }
-    };
+    const CommSchedule& sched = plan.loc.schedule;
+    // The sweep writes y's owned segment through the schedule's local
+    // indices, and y's tail would overwrite the ghosts x gathers.
+    CHAOS_CHECK(&x != &y && y.nlocal() == sched.nlocal_at_build,
+                "EdgeReductionLoop::execute: y must be a separate array "
+                "whose local segment matches the schedule");
+    gather_ghosts(p, sched, x, plan.ws);
+    y.resize_ghost(sched.nghost);
+    const f64* xv = x.view().data();
+    f64* yv = y.view().data();
+    const i64* refs1 = plan.loc.refs[0].data();
+    const i64* refs2 = plan.loc.refs[1].data();
     const i64 n = plan.my_iterations();
     for (i64 i = 0; i < n; ++i) {
-      const i64 r1 = plan.loc.refs[0][static_cast<std::size_t>(i)];
-      const i64 r2 = plan.loc.refs[1][static_cast<std::size_t>(i)];
-      const f64 x1 = x.localized(r1);
-      const f64 x2 = x.localized(r2);
-      deposit(r1, f(x1, x2));
-      deposit(r2, g(x1, x2));
+      const f64 x1 = xv[refs1[i]];
+      const f64 x2 = xv[refs2[i]];
+      yv[refs1[i]] += f(x1, x2);
+      yv[refs2[i]] += g(x1, x2);
     }
     p.clock().charge_ops(n, p.params().flop_us * flops_per_edge +
                                 p.params().mem_us_per_word * 4);
-    scatter_reduce<f64>(p, plan.loc.schedule, y.local(), y_ghost_acc,
-                        ReduceOp::Add, plan.ws);
-  }
-};
-
-/// Inspector product for an L1-style independent assignment loop.
-struct SingleStatementPlan {
-  IterationPartition iters;
-  std::vector<i64> ia, ib, ic;  ///< remapped indirection values
-  /// Pre-remap slices at the last build/repair (see EdgeLoopPlan::src1).
-  std::vector<i64> src_ia, src_ib, src_ic;
-  Localized lhs;                ///< ia against the y distribution
-  LocalizedMany rhs;            ///< ib, ic against the x distribution
-  /// Repair baselines, one per localized distribution (DESIGN.md §14).
-  LocalizeSnapshot lhs_snap;
-  LocalizeSnapshot rhs_snap;
-  /// Shared executor staging for both schedules (staging() re-slices per
-  /// schedule; buffers grow to the larger one once), so repeated execute()
-  /// calls allocate nothing.
-  mutable ExecutorWorkspace<f64> ws;
-  /// Inspector staging — one workspace per localized distribution (rhs
-  /// against x, lhs against y), so a translation cache attached to either
-  /// stays bound to exactly one DAD even when x and y are distributed
-  /// differently.
-  InspectorWorkspace iws;
-  InspectorWorkspace lhs_iws;
-  /// Delta-remap staging shared by the three indirection slices.
-  dist::RemapDeltaWorkspace remap_ws;
-  std::vector<i64> delta_pos, delta_val;
-  /// Build validity stamp (see EdgeLoopPlan::build).
-  PlanBuildState build;
-
-  [[nodiscard]] i64 my_iterations() const {
-    return static_cast<i64>(ia.size());
-  }
-  [[nodiscard]] const PlanOptions& options() const { return iws.options(); }
-};
-
-class SingleStatementLoop {
- public:
-  [[nodiscard]] static std::shared_ptr<SingleStatementPlan> inspect(
-      rt::Process& p, const dist::Distribution& iter_dist,
-      std::span<const i64> ia, std::span<const i64> ib,
-      std::span<const i64> ic, const dist::Distribution& y_dist,
-      const dist::Distribution& x_dist,
-      IterRule rule = IterRule::MostLocalReferences,
-      const PlanOptions& opts = {});
-
-  /// Collective incremental repair of both schedules (lhs against y, rhs
-  /// against x) for changed ia/ib/ic values — see EdgeReductionLoop::repair
-  /// for the contract. Both splices must win their votes; a fallback on
-  /// either leaves the plan NOT ready and returns false.
-  [[nodiscard]] static bool repair(rt::Process& p, SingleStatementPlan& plan,
-                                   std::span<const i64> ia,
-                                   std::span<const i64> ib,
-                                   std::span<const i64> ic,
-                                   const dist::Distribution& y_dist,
-                                   const dist::Distribution& x_dist);
-
-  /// y(ia(i)) = f(x(ib(i)), x(ic(i))). FORALL semantics: distinct iterations
-  /// must write distinct elements (checked only by construction).
-  template <typename F>
-  static void execute(rt::Process& p, const SingleStatementPlan& plan,
-                      dist::DistributedArray<f64>& y,
-                      dist::DistributedArray<f64>& x, F&& f,
-                      f64 flops_per_iter = 10.0) {
-    CHAOS_CHECK(plan.build.ready(),
-                "SingleStatementLoop::execute: plan build incomplete — a "
-                "failed inspection must be retried before executing");
-    gather_ghosts(p, plan.rhs.schedule, x, plan.ws);
-    const std::span<f64> y_ghost =
-        plan.ws.ghost_accumulator(plan.lhs.schedule, 0.0);
-    const i64 y_nlocal = plan.lhs.schedule.nlocal_at_build;
-    const i64 n = plan.my_iterations();
-    for (i64 i = 0; i < n; ++i) {
-      const f64 v = f(x.localized(plan.rhs.refs[0][static_cast<std::size_t>(i)]),
-                      x.localized(plan.rhs.refs[1][static_cast<std::size_t>(i)]));
-      const i64 ref = plan.lhs.refs[static_cast<std::size_t>(i)];
-      if (ref < y_nlocal) {
-        y.local()[static_cast<std::size_t>(ref)] = v;
-      } else {
-        y_ghost[static_cast<std::size_t>(ref - y_nlocal)] = v;
-      }
-    }
-    p.clock().charge_ops(n, p.params().flop_us * flops_per_iter +
-                                p.params().mem_us_per_word * 3);
-    scatter_assign<f64>(p, plan.lhs.schedule, y.local(), y_ghost, plan.ws);
+    scatter_reduce<f64>(p, sched, y.local(), y.ghost(), ReduceOp::Add,
+                        plan.ws);
   }
 };
 

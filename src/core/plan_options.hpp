@@ -1,5 +1,5 @@
 // Unified plan-construction options: the one struct every plan-construction
-// surface consumes (core::EdgeLoopPlan / SingleStatementPlan inspectors,
+// surface consumes (the core::EdgeReductionLoop inspector,
 // InspectorWorkspace::configure, and the lang Instance). It carries the
 // persistent translation cache and the incremental schedule-repair policy.
 #pragma once

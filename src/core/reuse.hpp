@@ -227,56 +227,37 @@ class PlanCache {
     return h;
   }
 
-  /// CHECK_INCARNATION: returns the cached plan for @p stmt_id under the
-  /// current DAD incarnation set iff the Section 3 conditions hold, else
-  /// null. Counts one hit or one miss (a miss is expected to be followed by
-  /// store() once the plan is rebuilt, mirroring InspectorCache's
-  /// get_or_build accounting).
-  [[nodiscard]] std::shared_ptr<void> probe(
-      u64 stmt_id, const ReuseRegistry& reg,
-      std::span<const dist::Dad> data_dads,
-      std::span<const dist::Dad> ind_dads) {
-    const auto it = slots_.find(key_of(stmt_id, data_dads, ind_dads));
-    if (it != slots_.end() &&
-        reuse_valid(reg, it->second.record, data_dads, ind_dads)) {
-      ++stats_.hits;
-      return it->second.product;
-    }
-    ++stats_.misses;
-    return nullptr;
-  }
-
-  /// Three-way probe outcome (DESIGN.md §14): Hit and Miss mirror probe();
-  /// RepairCandidate means the slot exists, the DAD incarnation sets still
-  /// match, and only the last_mod stamp is stale — the VM's CHECK_INCARNATION
-  /// may attempt an in-place splice of the cached plan before paying a full
-  /// re-inspection.
+  /// Probe outcome (DESIGN.md §14). RepairCandidate means the slot exists,
+  /// the DAD incarnation sets still match, and only the last_mod stamp is
+  /// stale: the VM's CHECK_INCARNATION may splice the cached plan in place
+  /// before paying a full re-inspection.
   enum class ProbeOutcome : u8 { Miss = 0, Hit, RepairCandidate };
   struct ProbeResult {
     ProbeOutcome outcome = ProbeOutcome::Miss;
     std::shared_ptr<void> product;  ///< set for Hit AND RepairCandidate
   };
 
-  /// probe() extended with the repair candidacy test. A RepairCandidate is
-  /// NOT yet counted — the caller resolves it with note_repaired() (counts a
-  /// repair, refreshes the slot's stamps) or note_repair_fallback() (counts
-  /// a fallback plus the miss its full rebuild implies, followed by the
-  /// usual store()). Callers that never repair should keep using probe(),
-  /// where a stale-stamp slot is an ordinary miss.
-  [[nodiscard]] ProbeResult probe_ex(u64 stmt_id, const ReuseRegistry& reg,
-                                     std::span<const dist::Dad> data_dads,
-                                     std::span<const dist::Dad> ind_dads) {
+  /// CHECK_INCARNATION: probes the slot of @p stmt_id under the current DAD
+  /// incarnation set. A Hit needs the Section 3 conditions. Only when
+  /// @p offer_repair is set can a stale slot be a RepairCandidate, which is
+  /// NOT yet counted: the caller resolves it with note_repaired() or
+  /// note_repair_fallback(). Otherwise a stale slot is a plain miss, so a
+  /// repair-off run counts exactly hits and misses, as InspectorCache's
+  /// get_or_build does. A miss is expected to be followed by store() once
+  /// the plan is rebuilt.
+  [[nodiscard]] ProbeResult probe(bool offer_repair, u64 stmt_id,
+                                  const ReuseRegistry& reg,
+                                  std::span<const dist::Dad> data_dads,
+                                  std::span<const dist::Dad> ind_dads) {
     const auto it = slots_.find(key_of(stmt_id, data_dads, ind_dads));
-    if (it == slots_.end()) {
-      ++stats_.misses;
-      return {};
-    }
-    if (reuse_valid(reg, it->second.record, data_dads, ind_dads)) {
-      ++stats_.hits;
-      return {ProbeOutcome::Hit, it->second.product};
-    }
-    if (dads_match(it->second.record, data_dads, ind_dads)) {
-      return {ProbeOutcome::RepairCandidate, it->second.product};
+    if (it != slots_.end()) {
+      if (reuse_valid(reg, it->second.record, data_dads, ind_dads)) {
+        ++stats_.hits;
+        return {ProbeOutcome::Hit, it->second.product};
+      }
+      if (offer_repair && dads_match(it->second.record, data_dads, ind_dads)) {
+        return {ProbeOutcome::RepairCandidate, it->second.product};
+      }
     }
     ++stats_.misses;
     return {};

@@ -70,14 +70,15 @@ class ScheduleInvalid : public ChaosError {
 };
 
 /// Generation/validity stamp carried by every inspector plan
-/// (EdgeLoopPlan / SingleStatementPlan / lang LoopPlan). A build that
-/// throws partway — a fault mid-exchange, a timeout — leaves the plan NOT
-/// ready: begin_build() clears the bit before any schedule state is
-/// touched and only a completed build sets it back. Executors refuse a
-/// not-ready plan with a typed error, so a recovered attempt is forced to
-/// re-inspect instead of sweeping through a half-built CommSchedule
-/// (DESIGN.md §11). The generation counter exists for diagnostics and
-/// cache-coherency tests: it counts build ATTEMPTS, not successes.
+/// (core::IrregularLoopPlan, which EdgeLoopPlan and the lang LoopPlan build
+/// on). A build that throws partway — a fault mid-exchange, a timeout —
+/// leaves the plan NOT ready: begin_build() clears the bit before any
+/// schedule state is touched and only a completed build sets it back.
+/// Executors refuse a not-ready plan with a typed error, so a recovered
+/// attempt is forced to re-inspect instead of sweeping through a half-built
+/// CommSchedule (DESIGN.md §11). The generation counter exists for
+/// diagnostics and cache-coherency tests: it counts build ATTEMPTS, not
+/// successes.
 struct PlanBuildState {
   u64 generation = 0;
   bool complete = false;

@@ -96,34 +96,32 @@ struct WriteSlot {
 };
 
 /// Inspector product of one FORALL (cached under the Section 3 guard), built
-/// from the statement's lowered ForallMeta — never from the AST.
+/// from the statement's lowered ForallMeta — never from the AST. Its
+/// indirection batches, their iteration partition and their shared data
+/// schedule are the core::IrregularLoopPlan a hand-written loop builds too;
+/// the rest is what the compiled loop adds: the direct and assign schedules
+/// and the operand and write routing.
 struct LoopPlan {
+  explicit LoopPlan(const ForallMeta& m)
+      : meta(&m), ind(m.ind_names.size()) {}
+
   const ForallMeta* meta = nullptr;  ///< borrowed from the ProgramPlan
 
   std::shared_ptr<const dist::Distribution> iter_space;
   std::shared_ptr<const dist::Distribution> data_dist;  // may be null
-  core::IterationPartition iters;
+  /// One 0-based batch per indirection array, in ind_names order, localized
+  /// against data_dist. Its build stamp is the plan's.
+  core::IrregularLoopPlan ind;
   std::vector<i64> iter_ids;  ///< my 0-based iteration ids, local order
 
-  std::vector<std::vector<i64>> ind_values;  ///< remapped, 0-based
-  /// Pre-remap 0-based indirection slices at the last build/repair: the
-  /// repair path diffs fresh slices against these so only changed values
-  /// ride the remap (DESIGN.md §14).
-  std::vector<std::vector<i64>> src_ind_values;
-  core::LocalizedMany data_loc;              ///< one batch per ind array
-  /// Repair baselines: the shared data schedule's, plus one per private
-  /// assign schedule (unused entries stay invalid for direct assigns, whose
-  /// iter_ids references never change under an indirection rewrite).
-  core::LocalizeSnapshot data_snap;
+  /// Repair baselines of the private assign schedules (unused entries stay
+  /// invalid for direct assigns, whose iter_ids references never change
+  /// under an indirection rewrite).
   std::vector<core::LocalizeSnapshot> assign_snaps;
   std::vector<int> assign_batch;  ///< ind batch per assign slot; -1 = direct
-  /// One inspector workspace per localized distribution (data_dist vs
-  /// iter_space), so an attached translation cache binds to one DAD.
-  core::InspectorWorkspace iws;         ///< localizes against data_dist
-  core::InspectorWorkspace direct_iws;  ///< localizes against iter_space
-  /// Delta-remap staging + diff scratch for the repair path.
-  dist::RemapDeltaWorkspace remap_ws;
-  std::vector<i64> delta_pos, delta_val, slice_scratch;
+  /// Localizes against iter_space; ind.iws localizes against data_dist, so
+  /// an attached translation cache binds to one DAD.
+  core::InspectorWorkspace direct_iws;
 
   bool has_direct = false;
   core::Localized direct_loc;  ///< batch = iter_ids against iter_space
@@ -136,8 +134,8 @@ struct LoopPlan {
     int run_end = 0;  ///< on a run's first write: one past its last write
     LoopReduceOp op = LoopReduceOp::Assign;
     ArrayInfo* target = nullptr;
-    int refs_group = 0;    ///< 0: data_loc batch, 1: direct_loc, 2: own assign
-    int batch = -1;        ///< data_loc batch index (group 0)
+    int refs_group = 0;    ///< 0: ind.loc batch, 1: direct_loc, 2: own assign
+    int batch = -1;        ///< ind.loc batch index (group 0)
     int assign_slot = -1;  ///< index into assign_loc (group 2)
     int acc_slot = -1;     ///< accumulator (reduce ops)
   };
@@ -154,7 +152,7 @@ struct LoopPlan {
 
   /// The meta's symbolic operand table resolved to runtime storage.
   struct OperandRt {
-    int group = 0;  ///< 0: data_loc batch, 1: direct_loc
+    int group = 0;  ///< 0: ind.loc batch, 1: direct_loc
     int batch = -1;
     const ArrayInfo* array = nullptr;
     int ghost_slot = -1;  ///< index into reads_data / reads_direct
@@ -164,7 +162,7 @@ struct LoopPlan {
   /// meta's first-occurrence order.
   std::vector<const i64*> scalar_ptrs;
 
-  std::vector<ArrayInfo*> reads_data;    ///< gathered via data_loc
+  std::vector<ArrayInfo*> reads_data;    ///< gathered via ind.loc
   std::vector<ArrayInfo*> reads_direct;  ///< gathered via direct_loc
   /// Index of a read's view in ExecScratch::views: data reads, then direct.
   [[nodiscard]] std::size_t view_index(int group, int slot) const {
@@ -186,15 +184,16 @@ struct LoopPlan {
 
   i64 expr_flops_per_iter = 0;
   i64 mem_refs_per_iter = 0;
-  /// Build validity stamp: a failed (thrown-through) plan build leaves the
-  /// plan not ready and EXEC_BEGIN refuses it (DESIGN.md §11).
-  core::PlanBuildState build;
 };
 
-/// Executor scratch of the running FORALL. A FORALL's PACK..COMPUTE ops run
-/// back to back and COMPUTE is not reentrant, so one set serves every plan:
-/// once grown, neither a warm sweep nor a fresh plan (reuse off) allocates.
+/// Scratch of the running FORALL. A FORALL's ops run back to back and none
+/// is reentrant, so one set serves every plan: once grown, neither a warm
+/// sweep nor a fresh plan (reuse off) allocates.
 struct ExecScratch {
+  /// The indirection slices converted to 0-based indices for a plan build
+  /// or repair, and the spans that hand them over.
+  std::vector<std::vector<i64>> slices;
+  std::vector<std::span<const i64>> slice_spans;
   /// Localized view per read, laid out [owned | ghost] so a localized
   /// reference indexes it directly: EXCHANGE fills the ghost tail, COMPUTE
   /// refreshes the owned head. Only grows, so inner buffers keep capacity.
@@ -323,6 +322,33 @@ ArrayInfo& lookup_array(Instance::State& st, const std::string& name,
 // FORALL: plan build (PARTITION + LOCALIZE)
 // ---------------------------------------------------------------------------
 
+/// The FORALL's indirection slices as 0-based data indices, in ind_names
+/// order, each value checked against the data extent @p extent. Fills the
+/// state's slice scratch (grow-only) and returns it as spans.
+std::span<const std::span<const i64>> zero_based_slices(Instance::State& st,
+                                                        const ForallMeta& m,
+                                                        i64 extent) {
+  ExecScratch& scratch = st.scratch;
+  scratch.slices.resize(m.ind_names.size());
+  scratch.slice_spans.clear();
+  for (std::size_t j = 0; j < m.ind_names.size(); ++j) {
+    const auto seg = st.arrays.at(m.ind_names[j]).integer->local();
+    std::vector<i64>& out = scratch.slices[j];
+    out.resize(seg.size());
+    for (std::size_t i = 0; i < seg.size(); ++i) {
+      if (seg[i] < 1 || seg[i] > extent) {
+        sema_fail("indirection array '" + m.ind_names[j] + "' holds index " +
+                      std::to_string(seg[i]) + " outside 1.." +
+                      std::to_string(extent),
+                  m);
+      }
+      out[i] = seg[i] - 1;  // Fortran subscripts are 1-based
+    }
+    scratch.slice_spans.emplace_back(out);
+  }
+  return scratch.slice_spans;
+}
+
 /// PARTITION: semantic classification against current array state, then the
 /// iteration partition + indirection remap (remap time). The checks run in a
 /// fixed order: the read/write conflict, then indirection arrays in
@@ -390,45 +416,18 @@ void plan_partition(rt::Process& p, Instance::State& st, const ForallMeta& m,
   }
 
   // ---- phase B/C: iteration partition + indirection remap (remap time) -----
-  {
-    rt::ClockSection section(p.clock());
-    std::vector<std::vector<i64>> ind_slices;  // 0-based data indices
-    for (const auto& name : m.ind_names) {
-      ArrayInfo& a = st.arrays.at(name);
-      std::vector<i64> vals(a.integer->local().begin(),
-                            a.integer->local().end());
-      for (auto& v : vals) {
-        if (v < 1 || v > plan.data_dist->size()) {
-          sema_fail("indirection array '" + name + "' holds index " +
-                        std::to_string(v) + " outside 1.." +
-                        std::to_string(plan.data_dist->size()),
-                    m);
-        }
-        v -= 1;  // Fortran subscripts are 1-based
-      }
-      ind_slices.push_back(std::move(vals));
-    }
-    if (!m.ind_names.empty()) {
-      std::vector<std::span<const i64>> batches(ind_slices.begin(),
-                                                ind_slices.end());
-      plan.iters = core::partition_iterations(p, *plan.iter_space,
-                                              *plan.data_dist, batches);
-      for (auto& slice : ind_slices) {
-        plan.ind_values.push_back(
-            dist::apply_remap<i64>(p, plan.iters.remap, slice));
-        // Keep the pre-remap slice: the repair-path diff baseline.
-        plan.src_ind_values.push_back(std::move(slice));
-      }
-    } else {
-      // No indirection: iterations stay home.
-      plan.iters.iter_dist = plan.iter_space;
-      plan.iters.remap = dist::build_remap(p, *plan.iter_space,
-                                           *plan.iter_space);
-      plan.iters.moved_iterations = 0;
-    }
-    plan.iter_ids = plan.iters.iter_dist->my_globals();
-    phases.remap += section.elapsed_sec();
+  rt::ClockSection section(p.clock());
+  if (m.ind_names.empty()) {
+    // No indirection: iterations stay home.
+    plan.ind.iters.iter_dist = plan.iter_space;
+    plan.ind.iters.remap =
+        dist::build_remap(p, *plan.iter_space, *plan.iter_space);
+  } else {
+    plan.ind.partition(p, *plan.iter_space, *plan.data_dist,
+                       zero_based_slices(st, m, plan.data_dist->size()));
   }
+  plan.iter_ids = plan.ind.iters.iter_dist->my_globals();
+  phases.remap += section.elapsed_sec();
 }
 
 /// LOCALIZE: builds the communication schedules and resolves the meta's
@@ -437,12 +436,7 @@ void plan_partition(rt::Process& p, Instance::State& st, const ForallMeta& m,
 void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
                    LoopPlan& plan, PhaseTimes& phases) {
   rt::ClockSection section(p.clock());
-  if (!plan.ind_values.empty()) {
-    std::vector<std::span<const i64>> batches(plan.ind_values.begin(),
-                                              plan.ind_values.end());
-    core::localize_many(p, *plan.data_dist, batches, plan.iws, plan.data_loc);
-    plan.iws.capture(plan.data_snap);
-  }
+  if (!m.ind_names.empty()) plan.ind.localize(p, *plan.data_dist);
   plan.has_direct = !m.direct_arrays.empty();
   if (plan.has_direct) {
     core::localize(p, *plan.iter_space, plan.iter_ids, plan.direct_iws,
@@ -506,9 +500,9 @@ void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
         const int b = batch_index(stmt.ind_array);
         plan.assign_batch.push_back(b);
         core::localize(p, target_dist,
-                       plan.ind_values[static_cast<std::size_t>(b)],
-                       plan.iws, plan.assign_loc.back());
-        plan.iws.capture(plan.assign_snaps.back());
+                       plan.ind.batches[static_cast<std::size_t>(b)],
+                       plan.ind.iws, plan.assign_loc.back());
+        plan.ind.iws.capture(plan.assign_snaps.back());
       }
     } else {
       w.refs_group = direct ? 1 : 0;
@@ -562,102 +556,33 @@ void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
 
 /// Incremental repair of a cached LoopPlan whose guard failed ONLY the
 /// last_mod stamp (an indirection array was rewritten in place; every DAD
-/// unchanged). Keeps the iteration partition, ships only changed indirection
-/// values through the remap, and splices the data + non-direct assign
-/// schedules; direct schedules localize iter_ids, which an indirection
-/// rewrite cannot change. Collective; returns false (machine-uniform) when
-/// any vote rejects, leaving the plan NOT ready so the caller's full rebuild
-/// path takes over (DESIGN.md §14).
+/// unchanged): the core plan repairs the indirection batches and their data
+/// schedule, then each non-direct assign schedule is spliced; direct
+/// schedules localize iter_ids, which an indirection rewrite cannot change.
+/// Collective, booked as inspector time. Returns false (machine-uniform)
+/// when any vote rejects, leaving the plan NOT ready so the caller's full
+/// rebuild path takes over (DESIGN.md §14).
 bool repair_plan(rt::Process& p, Instance::State& st, const ForallMeta& m,
                  i64 n, LoopPlan& plan, PhaseTimes& phases) {
-  bool ok = plan.build.ready() && plan.meta == &m && !m.ind_names.empty() &&
-            plan.iws.options().repair_enabled() &&
-            plan.iter_space->size() == n &&
-            plan.src_ind_values.size() == m.ind_names.size();
-
-  // Phase C': re-extract the indirection slices (same sema checks as the
-  // build path), diff against the pre-remap baselines, and push only the
-  // changed values through the remap. Remap time, like the build's phase C.
-  {
-    rt::ClockSection section(p.clock());
-    if (ok) {
-      for (std::size_t j = 0; j < m.ind_names.size(); ++j) {
-        const ArrayInfo& a = st.arrays.at(m.ind_names[j]);
-        if (a.integer == nullptr ||
-            a.integer->local().size() != plan.src_ind_values[j].size()) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (rt::allreduce_max(p, ok ? i64{0} : i64{1}) != 0) {
-      ++p.stats().repair_fallbacks;
-      return false;
-    }
-    plan.build.begin_build();  // mutating: not ready until the splice lands
-    for (std::size_t j = 0; j < m.ind_names.size(); ++j) {
-      const ArrayInfo& a = st.arrays.at(m.ind_names[j]);
-      const auto seg = a.integer->local();
-      plan.slice_scratch.resize(seg.size());
-      for (std::size_t i = 0; i < seg.size(); ++i) {
-        const i64 v = seg[i];
-        if (v < 1 || v > plan.data_dist->size()) {
-          sema_fail("indirection array '" + m.ind_names[j] +
-                        "' holds index " + std::to_string(v) +
-                        " outside 1.." +
-                        std::to_string(plan.data_dist->size()),
-                    m);
-        }
-        plan.slice_scratch[i] = v - 1;
-      }
-      plan.delta_pos.clear();
-      plan.delta_val.clear();
-      std::vector<i64>& base = plan.src_ind_values[j];
-      for (std::size_t i = 0; i < plan.slice_scratch.size(); ++i) {
-        if (plan.slice_scratch[i] != base[i]) {
-          plan.delta_pos.push_back(static_cast<i64>(i));
-          plan.delta_val.push_back(plan.slice_scratch[i]);
-          base[i] = plan.slice_scratch[i];
-        }
-      }
-      dist::apply_remap_delta(p, plan.iters.remap, plan.delta_pos,
-                              plan.delta_val, plan.ind_values[j],
-                              plan.remap_ws);
-      // The diff scan touches every slice element once.
-      p.clock().charge_ops(static_cast<i64>(seg.size()),
-                           p.params().mem_us_per_word);
-    }
-    phases.remap += section.elapsed_sec();
+  if (plan.iter_space->size() != n) {
+    ++p.stats().repair_fallbacks;  // the same on every rank: no vote
+    return false;
   }
-
-  // Phase D': splice the shared data schedule, then each non-direct assign
-  // schedule, against their snapshots. Inspector time.
-  {
-    rt::ClockSection section(p.clock());
-    std::vector<std::span<const i64>> batches(plan.ind_values.begin(),
-                                              plan.ind_values.end());
-    if (!core::repair_localize_many(p, *plan.data_dist, batches, plan.iws,
-                                    plan.data_snap, plan.data_loc)) {
-      phases.inspector += section.elapsed_sec();
-      return false;
-    }
-    plan.iws.capture(plan.data_snap);
-    for (std::size_t slot = 0; slot < plan.assign_loc.size(); ++slot) {
-      const int b = plan.assign_batch[slot];
-      if (b < 0) continue;  // direct assign: iter_ids references unchanged
-      if (!core::repair_localize(p, *plan.data_dist,
-                                 plan.ind_values[static_cast<std::size_t>(b)],
-                                 plan.iws, plan.assign_snaps[slot],
-                                 plan.assign_loc[slot])) {
-        phases.inspector += section.elapsed_sec();
-        return false;
-      }
-      plan.iws.capture(plan.assign_snaps[slot]);
-    }
-    phases.inspector += section.elapsed_sec();
+  rt::ClockSection section(p.clock());
+  bool ok = plan.ind.repair(p, zero_based_slices(st, m, plan.data_dist->size()),
+                            *plan.data_dist);
+  for (std::size_t slot = 0; ok && slot < plan.assign_loc.size(); ++slot) {
+    const int b = plan.assign_batch[slot];
+    if (b < 0) continue;  // direct assign: iter_ids references unchanged
+    ok = core::repair_localize(p, *plan.data_dist,
+                               plan.ind.batches[static_cast<std::size_t>(b)],
+                               plan.ind.iws, plan.assign_snaps[slot],
+                               plan.assign_loc[slot]);
+    if (ok) plan.ind.iws.capture(plan.assign_snaps[slot]);
   }
-  plan.build.mark_built();
-  return true;
+  if (ok) plan.ind.build.mark_built();
+  phases.inspector += section.elapsed_sec();
+  return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -781,7 +706,7 @@ ReadSlot read_slot(LoopPlan& plan, ExecScratch& scratch, i32 group, i32 k) {
   if (scratch.views.size() < nreads) scratch.views.resize(nreads);
   std::vector<f64>* view = &scratch.views[plan.view_index(group, k)];
   const auto i = static_cast<std::size_t>(k);
-  if (group == 0) return {plan.reads_data[i], view, &plan.data_loc.schedule};
+  if (group == 0) return {plan.reads_data[i], view, &plan.ind.loc.schedule};
   return {plan.reads_direct[i], view, &plan.direct_loc.schedule};
 }
 
@@ -807,7 +732,7 @@ void exec_exchange(rt::Process& p, LoopPlan& plan, ExecScratch& scratch,
 /// UNPACK: the gather's modeled memory charge.
 void exec_unpack(rt::Process& p, LoopPlan& plan, i32 group) {
   const core::CommSchedule& sched =
-      group == 0 ? plan.data_loc.schedule : plan.direct_loc.schedule;
+      group == 0 ? plan.ind.loc.schedule : plan.direct_loc.schedule;
   core::gather_unpack(p, sched);
 }
 
@@ -822,7 +747,7 @@ void exec_compute(rt::Process& p, LoopPlan& plan, ExecScratch& scratch) {
   plan.acc_scratch.resize(plan.accs.size());
   for (std::size_t k = 0; k < plan.accs.size(); ++k) {
     const auto& info = plan.accs[k];
-    const auto& sched = info.refs_group == 0 ? plan.data_loc.schedule
+    const auto& sched = info.refs_group == 0 ? plan.ind.loc.schedule
                                              : plan.direct_loc.schedule;
     plan.acc_scratch[k].assign(
         static_cast<std::size_t>(sched.nlocal_at_build + sched.nghost),
@@ -855,7 +780,7 @@ void exec_compute(rt::Process& p, LoopPlan& plan, ExecScratch& scratch) {
     const auto& spec = plan.operands[k];
     RuntimeOperand& o = plan.runtime_ops[k];
     o.refs = spec.group == 0
-                 ? plan.data_loc.refs[static_cast<std::size_t>(spec.batch)]
+                 ? plan.ind.loc.refs[static_cast<std::size_t>(spec.batch)]
                        .data()
                  : plan.direct_loc.refs.data();
     o.view = scratch.views[plan.view_index(spec.group, spec.ghost_slot)].data();
@@ -877,7 +802,7 @@ void exec_compute(rt::Process& p, LoopPlan& plan, ExecScratch& scratch) {
     } else {
       slot.refs =
           w.refs_group == 0
-              ? plan.data_loc.refs[static_cast<std::size_t>(w.batch)].data()
+              ? plan.ind.loc.refs[static_cast<std::size_t>(w.batch)].data()
               : plan.direct_loc.refs.data();
       slot.local = nullptr;
       slot.staging =
@@ -955,7 +880,7 @@ void exec_compute(rt::Process& p, LoopPlan& plan, ExecScratch& scratch) {
 void exec_fold_scatter(rt::Process& p, LoopPlan& plan, i32 k) {
   const auto& info = plan.accs[static_cast<std::size_t>(k)];
   const std::vector<f64>& acc = plan.acc_scratch[static_cast<std::size_t>(k)];
-  const auto& sched = info.refs_group == 0 ? plan.data_loc.schedule
+  const auto& sched = info.refs_group == 0 ? plan.ind.loc.schedule
                                            : plan.direct_loc.schedule;
   auto local = info.target->real->local();
   for (i64 j = 0; j < sched.nlocal_at_build; ++j) {
@@ -1319,38 +1244,27 @@ void Instance::run_vm(rt::Process& p) {
           for (const auto& name : m.ind_names) {
             fx.guard_ind.push_back(lookup_array(st, name, m).dad());
           }
-          if (!plan_opts_.repair_enabled()) {
-            // Two-way probe: hit or plain miss, the pre-repair protocol.
-            if (auto hit = st.plan_cache.probe(m.loop_id, st.registry,
-                                               fx.guard_data, fx.guard_ind)) {
-              fx.plan = std::static_pointer_cast<LoopPlan>(std::move(hit));
-              pc = ins.b;  // warm entry: straight to EXEC_BEGIN
+          auto pr = st.plan_cache.probe(plan_opts_.repair_enabled(), m.loop_id,
+                                        st.registry, fx.guard_data,
+                                        fx.guard_ind);
+          if (pr.outcome == core::PlanCache::ProbeOutcome::Hit) {
+            fx.plan = std::static_pointer_cast<LoopPlan>(std::move(pr.product));
+            pc = ins.b;  // warm entry: straight to EXEC_BEGIN
+            break;
+          }
+          if (pr.outcome == core::PlanCache::ProbeOutcome::RepairCandidate) {
+            // DADs match and only the indirection stamp is stale: try the
+            // splice before paying a full re-inspection (DESIGN.md §14).
+            auto cand =
+                std::static_pointer_cast<LoopPlan>(std::move(pr.product));
+            if (repair_plan(p, st, m, fx.n, *cand, phases_)) {
+              st.plan_cache.note_repaired(m.loop_id, st.registry,
+                                          fx.guard_data, fx.guard_ind);
+              fx.plan = std::move(cand);
+              pc = ins.b;  // repaired entry: straight to EXEC_BEGIN
               break;
             }
-          } else {
-            // Three-way probe (DESIGN.md §14): hit, repair candidate (DADs
-            // match, only the indirection stamp is stale — try the splice
-            // before paying a full re-inspection), or miss.
-            auto pr = st.plan_cache.probe_ex(m.loop_id, st.registry,
-                                             fx.guard_data, fx.guard_ind);
-            if (pr.outcome == core::PlanCache::ProbeOutcome::Hit) {
-              fx.plan = std::static_pointer_cast<LoopPlan>(
-                  std::move(pr.product));
-              pc = ins.b;
-              break;
-            }
-            if (pr.outcome == core::PlanCache::ProbeOutcome::RepairCandidate) {
-              auto cand =
-                  std::static_pointer_cast<LoopPlan>(std::move(pr.product));
-              if (repair_plan(p, st, m, fx.n, *cand, phases_)) {
-                st.plan_cache.note_repaired(m.loop_id, st.registry,
-                                            fx.guard_data, fx.guard_ind);
-                fx.plan = std::move(cand);
-                pc = ins.b;  // repaired entry: straight to EXEC_BEGIN
-                break;
-              }
-              st.plan_cache.note_repair_fallback();
-            }
+            st.plan_cache.note_repair_fallback();
           }
         }
         ++pc;  // cold: fall through to PARTITION / LOCALIZE / STORE_PLAN
@@ -1359,10 +1273,8 @@ void Instance::run_vm(rt::Process& p) {
       case PlanOp::Partition: {
         const ForallMeta& m = prog.foralls[static_cast<std::size_t>(ins.a)];
         ForallRt& fx = st.frt[static_cast<std::size_t>(ins.a)];
-        fx.plan = std::make_shared<LoopPlan>();
-        fx.plan->build.begin_build();
-        fx.plan->meta = &m;
-        fx.plan->iws.configure(plan_opts_);
+        fx.plan = std::make_shared<LoopPlan>(m);
+        fx.plan->ind.iws.configure(plan_opts_);
         fx.plan->direct_iws.configure(plan_opts_);
         plan_partition(p, st, m, fx.n, *fx.plan, phases_);
         ++pc;
@@ -1372,7 +1284,7 @@ void Instance::run_vm(rt::Process& p) {
         const ForallMeta& m = prog.foralls[static_cast<std::size_t>(ins.a)];
         ForallRt& fx = st.frt[static_cast<std::size_t>(ins.a)];
         plan_localize(p, st, m, *fx.plan, phases_);
-        fx.plan->build.mark_built();
+        fx.plan->ind.build.mark_built();
         ++pc;
         break;
       }
@@ -1388,7 +1300,7 @@ void Instance::run_vm(rt::Process& p) {
       }
       case PlanOp::ExecBegin: {
         ForallRt& fx = st.frt[static_cast<std::size_t>(ins.a)];
-        CHAOS_CHECK(fx.plan && fx.plan->build.ready(),
+        CHAOS_CHECK(fx.plan && fx.plan->ind.build.ready(),
                     "EXEC_BEGIN: plan build incomplete — a failed "
                     "inspection must be retried before executing");
         fx.exec_section.emplace(p.clock());

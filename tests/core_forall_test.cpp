@@ -4,7 +4,6 @@
 // process count, including after a mid-run REDISTRIBUTE.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -149,57 +148,23 @@ TEST_P(ForallSweep, RepeatedExecutionAccumulates) {
   });
 }
 
-TEST_P(ForallSweep, SingleStatementLoopMatchesSerialReference) {
-  const auto [P, rule] = GetParam();
-  constexpr i64 n = 90;
-  constexpr i64 iters = 90;
-  // ia is a permutation (FORALL requires distinct writes); ib/ic random.
-  wl::Rng rng(11);
-  std::vector<i64> ia(static_cast<std::size_t>(iters));
-  for (i64 i = 0; i < iters; ++i) ia[static_cast<std::size_t>(i)] = i;
-  for (i64 i = iters - 1; i > 0; --i) {
-    const i64 j = rng.below(i + 1);
-    std::swap(ia[static_cast<std::size_t>(i)], ia[static_cast<std::size_t>(j)]);
-  }
-  std::vector<i64> ib(static_cast<std::size_t>(iters)),
-      ic(static_cast<std::size_t>(iters));
-  for (i64 i = 0; i < iters; ++i) {
-    ib[static_cast<std::size_t>(i)] = rng.below(n);
-    ic[static_cast<std::size_t>(i)] = rng.below(n);
-  }
-  std::vector<f64> x0(static_cast<std::size_t>(n));
-  for (i64 i = 0; i < n; ++i) {
-    x0[static_cast<std::size_t>(i)] = std::sin(static_cast<f64>(i));
-  }
-  std::vector<f64> expect(static_cast<std::size_t>(n), -7.0);
-  for (i64 i = 0; i < iters; ++i) {
-    expect[static_cast<std::size_t>(ia[static_cast<std::size_t>(i)])] =
-        fval(x0[static_cast<std::size_t>(ib[static_cast<std::size_t>(i)])],
-             x0[static_cast<std::size_t>(ic[static_cast<std::size_t>(i)])]);
-  }
-
-  rt::Machine::run(P, [&, rule = rule](rt::Process& p) {
-    auto ddist = dist::Distribution::block(p, n);
-    auto idist = dist::Distribution::block(p, iters);
-    dist::DistributedArray<f64> x(p, ddist), y(p, ddist, -7.0);
-    x.fill_by_global([&](i64 gl) { return x0[static_cast<std::size_t>(gl)]; });
-
-    std::vector<i64> sa, sb, sc;
-    for (i64 l = 0; l < idist->my_local_size(); ++l) {
-      const i64 i = idist->global_of(p.rank(), l);
-      sa.push_back(ia[static_cast<std::size_t>(i)]);
-      sb.push_back(ib[static_cast<std::size_t>(i)]);
-      sc.push_back(ic[static_cast<std::size_t>(i)]);
-    }
-    auto plan = core::SingleStatementLoop::inspect(p, *idist, sa, sb, sc,
-                                                   *ddist, *ddist, rule);
-    core::SingleStatementLoop::execute(p, *plan, y, x, fval);
-
-    const auto got = y.to_global(p);
-    for (i64 v = 0; v < n; ++v) {
-      EXPECT_NEAR(got[static_cast<std::size_t>(v)],
-                  expect[static_cast<std::size_t>(v)], 1e-9);
-    }
+TEST(Forall, ExecuteRejectsAYThatDoesNotMatchTheSchedule) {
+  // The sweep writes y's owned segment through the schedule's local
+  // indices, so a y shorter than the data distribution must end in a typed
+  // error before the first write, not in a write past its end. Passing x
+  // as y would zero the ghosts the sweep reads.
+  const Graph g = random_graph(64, 200, 5);
+  rt::Machine::run(1, [&](rt::Process& p) {
+    auto ddist = dist::Distribution::block(p, g.nnodes);
+    auto edist = dist::Distribution::block(p, static_cast<i64>(g.e1.size()));
+    dist::DistributedArray<f64> x(p, ddist, 1.0);
+    dist::DistributedArray<f64> y(p, dist::Distribution::block(p, 32), 0.0);
+    auto plan = core::EdgeReductionLoop::inspect(p, *edist, g.e1, g.e2,
+                                                 *ddist);
+    EXPECT_THROW(core::EdgeReductionLoop::execute(p, *plan, x, y, fval, gval),
+                 chaos::ChaosError);
+    EXPECT_THROW(core::EdgeReductionLoop::execute(p, *plan, x, x, fval, gval),
+                 chaos::ChaosError);
   });
 }
 

@@ -390,95 +390,6 @@ TEST(ScheduleRepair, OffModeRefusesAndPlanStaysUsable) {
   });
 }
 
-// The L1 single-statement plan repairs all three indirection slices and both
-// schedules (lhs against y, rhs against x) — exact match with the serial
-// reference after a partial rewire.
-TEST(ScheduleRepair, SingleStatementRepairMatchesSerial) {
-  const i64 n = 200, nx = 90, ny = 90;
-  wl::Rng rng(77);
-  std::vector<i64> ia, ib, ic;
-  for (i64 i = 0; i < n; ++i) {
-    // FORALL semantics: distinct iterations write distinct elements. Use a
-    // permutation-free unique target per iteration modulo ny via i itself
-    // spread over ny — keep ia unique by construction (n <= ny * k with
-    // distinct writes): simplest is ia = a fixed permutation slot per i.
-    ia.push_back(i % ny);
-    ib.push_back(rng.below(nx));
-    ic.push_back(rng.below(nx));
-  }
-  // Make ia a real FORALL target: later iterations overwriting the same
-  // element would be a race, so keep only the last write per target in the
-  // serial reference (executor order is unspecified otherwise). To stay
-  // race-free, restrict n to ny so every target is written exactly once.
-  ia.resize(static_cast<std::size_t>(ny));
-  ib.resize(static_cast<std::size_t>(ny));
-  ic.resize(static_cast<std::size_t>(ny));
-  const i64 iters = ny;
-
-  std::vector<f64> x0(static_cast<std::size_t>(nx));
-  for (std::size_t i = 0; i < x0.size(); ++i) {
-    x0[i] = static_cast<f64>(1 + i % 6);
-  }
-  auto serial = [&](const std::vector<i64>& a, const std::vector<i64>& b,
-                    const std::vector<i64>& c) {
-    std::vector<f64> y(static_cast<std::size_t>(ny), 0.0);
-    for (i64 i = 0; i < iters; ++i) {
-      y[static_cast<std::size_t>(a[static_cast<std::size_t>(i)])] =
-          fval(x0[static_cast<std::size_t>(b[static_cast<std::size_t>(i)])],
-               x0[static_cast<std::size_t>(c[static_cast<std::size_t>(i)])]);
-    }
-    return y;
-  };
-
-  for (const int P : {1, 8}) {
-    rt::Machine machine(P);
-    machine.run([&](rt::Process& p) {
-      auto ydist = dist::Distribution::block(p, ny);
-      auto xdist = dist::Distribution::block(p, nx);
-      auto idist = dist::Distribution::block(p, iters);
-      dist::DistributedArray<f64> x(p, xdist), y(p, ydist, 0.0);
-      x.fill_by_global(
-          [&](i64 gl) { return x0[static_cast<std::size_t>(gl)]; });
-
-      auto sa = local_slice(p, *idist, ia);
-      auto sb = local_slice(p, *idist, ib);
-      auto sc = local_slice(p, *idist, ic);
-      // RepairMode::On: at P=8 a rank holds only a handful of distinct RHS
-      // globals, so even a ~15% rewire can exceed the Auto threshold on the
-      // machine-max vote — On pins the test to the splice path.
-      const core::PlanOptions opts{.repair = core::RepairMode::On};
-      auto plan = core::SingleStatementLoop::inspect(
-          p, *idist, sa, sb, sc, *ydist, *xdist,
-          core::IterRule::MostLocalReferences, opts);
-
-      // Rewire ~15% of the reads (ib/ic); writes (ia) stay a permutation.
-      std::vector<i64> nib = ib, nic = ic;
-      for (i64 i = 0; i < iters; i += 7) {
-        nib[static_cast<std::size_t>(i)] =
-            (nib[static_cast<std::size_t>(i)] + 13) % nx;
-        nic[static_cast<std::size_t>(i)] =
-            (nic[static_cast<std::size_t>(i)] + 29) % nx;
-      }
-      sb = local_slice(p, *idist, nib);
-      sc = local_slice(p, *idist, nic);
-      ASSERT_TRUE(core::SingleStatementLoop::repair(p, *plan, sa, sb, sc,
-                                                    *ydist, *xdist));
-      plan->lhs.schedule.validate_or_throw("post-repair lhs");
-      plan->rhs.schedule.validate_or_throw("post-repair rhs");
-
-      core::SingleStatementLoop::execute(p, *plan, y, x, fval);
-      const auto got = y.to_global(p);
-      const auto expect = serial(ia, nib, nic);
-      for (i64 v = 0; v < ny; ++v) {
-        EXPECT_EQ(got[static_cast<std::size_t>(v)],
-                  expect[static_cast<std::size_t>(v)])
-            << "element " << v << " P " << P;
-      }
-      EXPECT_GE(p.stats().schedule_repairs, 1);
-    });
-  }
-}
-
 // --- splice_send against malformed repair scripts ---------------------------
 
 namespace {
