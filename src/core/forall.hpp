@@ -1,4 +1,4 @@
-// FORALL loop plans and drivers: the inspector/executor code shape the
+// FORALL loop plans and executors: the inspector/executor code shape the
 // paper's compiler generates for an irregular loop (Figure 1), and that a
 // programmer writes by hand with the same runtime calls.
 //
