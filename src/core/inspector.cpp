@@ -11,7 +11,7 @@ i64 InspectorWorkspace::dedup_batches(
   std::size_t total = 0;
   for (const auto& b : batches) total += b.size();
   const std::size_t bound = std::min(total, static_cast<std::size_t>(n));
-  dedup_.begin(static_cast<i64>(bound));
+  dedup_.begin(static_cast<i64>(bound), n);
   distinct_.clear();
   distinct_.reserve(bound);
   pos_ids_.resize(total);
@@ -238,7 +238,9 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
   i64 novel = 0;
   i64 departed = 0;
   if (eligible) {
-    ws.prev_.begin(static_cast<i64>(snap.distinct.size()));
+    // The snapshot's globals index the distribution whose DAD it matched,
+    // so they lie in [0, d.size()).
+    ws.prev_.begin(static_cast<i64>(snap.distinct.size()), d.size());
     for (std::size_t q = 0; q < snap.distinct.size(); ++q) {
       auto [id, fresh] = ws.prev_.find_or_insert(snap.distinct[q]);
       if (fresh) id = static_cast<u32>(q);

@@ -2,11 +2,14 @@
 // The inspector's reference dedup, its repair diff and the translation
 // table's remote-query dedup all run on it: a pass opens with begin(), feeds
 // indices through find_or_insert(), and the caller writes its own id into
-// every slot that comes back new (a distinct ordinal, a snapshot ordinal, or
-// a position in a home's request segment). The table never decides an id.
+// every slot that comes back new (a distinct ordinal or a snapshot ordinal).
+// The table never decides an id.
 //
 // Slots are 16 bytes {key, epoch, id}; a pass resets the table by bumping
-// the epoch, so a warm pass performs no heap allocation and no clear.
+// the epoch, so a warm pass performs no heap allocation and no clear. Every
+// caller knows its keys lie in [0, range) (a table extent or a distribution
+// size); when that range fits the table, a key's slot is the key itself, so
+// keys never collide and no hash is computed.
 #pragma once
 
 #include <algorithm>
@@ -21,19 +24,23 @@ namespace chaos::dist {
 
 class DedupTable {
  public:
-  /// Opens a pass over at most @p bound distinct keys: the probed prefix of
-  /// the table is a power of two of at least 16 slots and 2·bound, so the
-  /// load factor stays <= 1/2, and every slot of an older pass reads as
-  /// empty. The caller guarantees the bound; more distinct keys than that
-  /// could fill the table. Allocates only on growth.
-  void begin(i64 bound) {
+  /// Opens a pass over at most @p bound distinct keys, all in [0, @p range).
+  /// The table grows to a power of two of at least 16 slots and 2·bound, so
+  /// the load factor stays <= 1/2, and every slot of an older pass reads as
+  /// empty. If the range fits the whole table, each key indexes its own slot
+  /// (direct); otherwise keys hash into that power-of-two prefix. The caller
+  /// guarantees the bound, and that keys lie in the range (a key outside it
+  /// is still found or inserted correctly, but may probe). Allocates only on
+  /// growth.
+  void begin(i64 bound, i64 range) {
     CHAOS_CHECK(bound >= 0 && bound <= i64{std::numeric_limits<u32>::max()},
                 "dedup table: " + std::to_string(bound) +
                     " distinct keys do not fit one pass");
     const std::size_t cap = std::bit_ceil(
         std::max<std::size_t>(16, 2 * static_cast<std::size_t>(bound)));
     if (slots_.size() < cap) slots_.resize(cap);
-    mask_ = cap - 1;
+    direct_ = range <= static_cast<i64>(slots_.size());
+    mask_ = (direct_ ? slots_.size() : cap) - 1;
     if (++epoch_ == 0) {  // wrapped: retag every slot as empty
       for (auto& s : slots_) s.epoch = 0;
       epoch_ = 1;
@@ -72,12 +79,13 @@ class DedupTable {
   static_assert(sizeof(Slot) == 16);
 
   [[nodiscard]] std::size_t home(i64 g) const {
-    return static_cast<std::size_t>(detail::mix64(static_cast<u64>(g))) &
-           mask_;
+    const auto k = static_cast<u64>(g);
+    return static_cast<std::size_t>(direct_ ? k : detail::mix64(k)) & mask_;
   }
 
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
+  bool direct_ = false;  ///< this pass indexes slots by key
   u32 epoch_ = 0;
 };
 

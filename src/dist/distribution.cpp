@@ -1,6 +1,7 @@
 #include "dist/distribution.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "rt/collectives.hpp"
 
@@ -44,27 +45,66 @@ std::shared_ptr<const Distribution> Distribution::irregular_from_map(
               "distribution");
   const i64 n = map_dist.size();
 
-  // Route each global to its assigned owner in one exchange.
-  std::vector<std::vector<i64>> outgoing(static_cast<std::size_t>(p.nprocs()));
-  for (std::size_t l = 0; l < map_slice.size(); ++l) {
-    const i64 owner = map_slice[l];
-    CHAOS_CHECK(owner >= 0 && owner < p.nprocs(),
-                "irregular_from_map: map names process " +
-                    std::to_string(owner) + " outside the machine");
-    outgoing[static_cast<std::size_t>(owner)].push_back(
-        map_dist.my_global_of(static_cast<i64>(l)));
-  }
-  const auto incoming = rt::alltoallv(p, outgoing);
-
   auto d = std::shared_ptr<Distribution>(new Distribution());
   d->my_rank_ = p.rank();
-  std::size_t total = 0;
-  for (const auto& block : incoming) total += block.size();
-  d->my_globals_.reserve(total);
-  for (const auto& block : incoming) {
-    d->my_globals_.insert(d->my_globals_.end(), block.begin(), block.end());
+  {
+    // Route each global to its assigned owner in one exchange; a counting
+    // pass sizes each owner's list exactly before the fill.
+    const auto np = static_cast<std::size_t>(p.nprocs());
+    std::vector<std::vector<i64>> outgoing(np);
+    {
+      std::vector<std::size_t> counts(np, 0);
+      for (const i64 owner : map_slice) {
+        CHAOS_CHECK(owner >= 0 && owner < p.nprocs(),
+                    "irregular_from_map: map names process " +
+                        std::to_string(owner) + " outside the machine");
+        ++counts[static_cast<std::size_t>(owner)];
+      }
+      for (std::size_t r = 0; r < np; ++r) outgoing[r].reserve(counts[r]);
+    }
+    for (std::size_t l = 0; l < map_slice.size(); ++l) {
+      outgoing[static_cast<std::size_t>(map_slice[l])].push_back(
+          map_dist.my_global_of(static_cast<i64>(l)));
+    }
+    const auto incoming = rt::alltoallv(p, outgoing);
+
+    // Every block arrives ascending (a distribution's local order is), and
+    // the blocks are disjoint, so a P-way merge lays out my globals in
+    // order. It copies runs: the block with the smallest head gives up
+    // everything below the next-smallest head, so blocks that cover
+    // disjoint ranges (a BLOCK map's) each go in one copy. The blocks are
+    // freed before the translation table is built.
+    std::size_t total = 0;
+    for (const auto& block : incoming) total += block.size();
+    d->my_globals_.reserve(total);
+    struct Head {
+      i64 g;            ///< the block's smallest unmerged global
+      std::size_t src;  ///< the block
+      std::size_t at;   ///< position of g in it
+    };
+    const auto later = [](const Head& a, const Head& b) { return a.g > b.g; };
+    std::vector<Head> heads;  // min-heap on g
+    for (std::size_t s = 0; s < np; ++s) {
+      if (!incoming[s].empty()) heads.push_back(Head{incoming[s][0], s, 0});
+    }
+    std::make_heap(heads.begin(), heads.end(), later);
+    while (!heads.empty()) {
+      std::pop_heap(heads.begin(), heads.end(), later);
+      const Head h = heads.back();
+      heads.pop_back();
+      const auto& block = incoming[h.src];
+      const i64 limit =
+          heads.empty() ? std::numeric_limits<i64>::max() : heads.front().g;
+      std::size_t end = h.at + 1;
+      while (end < block.size() && block[end] < limit) ++end;
+      d->my_globals_.insert(d->my_globals_.end(), block.begin() + h.at,
+                            block.begin() + end);
+      if (end < block.size()) {
+        heads.push_back(Head{block[end], h.src, end});
+        std::push_heap(heads.begin(), heads.end(), later);
+      }
+    }
   }
-  std::sort(d->my_globals_.begin(), d->my_globals_.end());
   p.clock().charge_ops(static_cast<i64>(d->my_globals_.size()),
                        p.params().mem_us_per_word);
 

@@ -21,9 +21,18 @@ RemapPlan build_remap(rt::Process& p, const Distribution& from,
   const auto entries = to.locate(p, globals);
 
   // Sender side: source positions per destination (ascending by position, so
-  // the receiver's placement list below is deterministically aligned).
-  std::vector<std::vector<i64>> dest_local(
-      static_cast<std::size_t>(p.nprocs()));
+  // the receiver's placement list below is deterministically aligned). A
+  // counting pass sizes both per-destination lists exactly.
+  const auto np = static_cast<std::size_t>(p.nprocs());
+  std::vector<std::vector<i64>> dest_local(np);
+  {
+    std::vector<std::size_t> counts(np, 0);
+    for (const Entry& e : entries) ++counts[static_cast<std::size_t>(e.proc)];
+    for (std::size_t r = 0; r < np; ++r) {
+      plan.send_pos[r].reserve(counts[r]);
+      dest_local[r].reserve(counts[r]);
+    }
+  }
   i64 moved = 0;
   for (std::size_t l = 0; l < entries.size(); ++l) {
     const auto dest = static_cast<std::size_t>(entries[l].proc);

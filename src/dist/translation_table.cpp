@@ -20,16 +20,29 @@ struct Claim {
 /// repeat call performs zero heap allocations.
 struct DerefScratch {
   std::vector<i64> counts;        ///< 2P: my per-home counts + peer counts
-  std::vector<i32> home;          ///< per query: home rank, -1 if answered
-  std::vector<i64> pos;           ///< per query: request CSR position, or -1
+  std::vector<u32> pos;           ///< per query: distinct ordinal, or kAnswered
+  std::vector<i64> distinct;      ///< distinct remote globals, first seen first
+  /// Per distinct remote global: its home rank, then (once the request CSR
+  /// is laid out) its position there.
+  std::vector<u32> where;
   std::vector<i64> send_offsets;  ///< P+1: request CSR prefix (distinct)
   std::vector<i64> recv_offsets;  ///< P+1: incoming-query CSR prefix
   std::vector<i64> req;           ///< distinct request globals, per home
   std::vector<i64> peer_req;      ///< globals peers ask this process
   std::vector<Entry> reply;       ///< answers shipped back to peers
   std::vector<Entry> answers;     ///< answers received, aligned with req
-  DedupTable dedup;               ///< remote global -> index in its segment
+  DedupTable dedup;               ///< remote global -> distinct ordinal
 };
+
+/// pos[] of a query answered from this process's own pages.
+constexpr u32 kAnswered = ~u32{0};
+
+/// Throws unless query @p q indexes a table of @p n globals.
+void check_query(i64 q, i64 n) {
+  CHAOS_CHECK(q >= 0 && q < n, "translation table: dereferenced index " +
+                                   std::to_string(q) + " outside [0, " +
+                                   std::to_string(n) + ")");
+}
 
 /// One scratch per thread. A dereference is a leaf collective that never
 /// re-enters, and a rank runs on one thread, so no two calls ever share it.
@@ -41,10 +54,16 @@ std::shared_ptr<const TranslationTable> TranslationTable::build(
     rt::Process& p, i64 n, std::span<const i64> mine, i64 page_size,
     bool replicated) {
   CHAOS_CHECK(n >= 0, "translation table: negative global size");
+  CHAOS_CHECK(n < (i64{1} << 32),
+              "translation table: " + std::to_string(n) +
+                  " globals exceed the 2^32 its page arithmetic reaches");
   CHAOS_CHECK(page_size >= 1, "translation table: page size must be >= 1");
   auto tt = std::shared_ptr<TranslationTable>(new TranslationTable());
   tt->n_ = n;
   tt->page_size_ = page_size;
+  tt->page_div_ = detail::Reciprocal(
+      static_cast<u64>(std::min(page_size, std::max<i64>(n, 1))));
+  tt->proc_div_ = detail::Reciprocal(static_cast<u64>(p.nprocs()));
   tt->replicated_ = replicated;
   tt->nprocs_ = p.nprocs();
   tt->my_rank_ = p.rank();
@@ -102,16 +121,24 @@ std::shared_ptr<const TranslationTable> TranslationTable::build(
   tt->proc_.assign(static_cast<std::size_t>(my_pages * page_size), -1);
   tt->local_.assign(static_cast<std::size_t>(my_pages * page_size), -1);
 
-  std::vector<std::vector<Claim>> outgoing(
-      static_cast<std::size_t>(p.nprocs()));
+  // A counting pass sizes each home's claim list exactly before the fill.
+  const auto np = static_cast<std::size_t>(p.nprocs());
+  std::vector<std::vector<Claim>> outgoing(np);
+  {
+    std::vector<std::size_t> counts(np, 0);
+    for (const i64 g : mine) {
+      ++counts[static_cast<std::size_t>(tt->place_of(g).home)];
+    }
+    for (std::size_t r = 0; r < np; ++r) outgoing[r].reserve(counts[r]);
+  }
   for (std::size_t l = 0; l < mine.size(); ++l) {
-    outgoing[static_cast<std::size_t>(tt->home_of(mine[l]))].push_back(
+    outgoing[static_cast<std::size_t>(tt->place_of(mine[l]).home)].push_back(
         Claim{mine[l], static_cast<i64>(l)});
   }
   const auto incoming = rt::alltoallv(p, outgoing);
   for (int s = 0; s < p.nprocs(); ++s) {
     for (const auto& c : incoming[static_cast<std::size_t>(s)]) {
-      const std::size_t slot = tt->my_slot(c.g);
+      const std::size_t slot = tt->place_of(c.g).slot;
       CHAOS_CHECK(tt->proc_[slot] == -1,
                   "translation table: global " + std::to_string(c.g) +
                       " claimed by more than one process");
@@ -146,21 +173,13 @@ void TranslationTable::dereference(rt::Process& p,
   ++p.stats().ttable_flat_calls;
   out.resize(queries.size());
 
-  bool ascending = true;
-  i64 prev = -1;
-  for (i64 q : queries) {
-    CHAOS_CHECK(q >= 0 && q < n_,
-                "translation table: dereferenced index " + std::to_string(q) +
-                    " outside [0, " + std::to_string(n_) + ")");
-    ascending = ascending && q > prev;
-    prev = q;
-  }
-
   if (replicated_) {
     // Local-only answer path: zero exchange rounds by construction.
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      const auto g = static_cast<std::size_t>(queries[i]);
-      out[i] = Entry{proc_[g], local_[g]};
+      const i64 q = queries[i];
+      check_query(q, n_);
+      out[i] = Entry{proc_[static_cast<std::size_t>(q)],
+                     local_[static_cast<std::size_t>(q)]};
     }
     p.clock().charge_ops(static_cast<i64>(queries.size()) +
                              extra_charged_queries,
@@ -174,63 +193,70 @@ void TranslationTable::dereference(rt::Process& p,
   const std::span<i64> my_counts(s.counts.data(), np);
   std::fill(my_counts.begin(), my_counts.end(), 0);
 
-  // Pass 1: answer self-homed queries immediately, note the rest's home.
-  s.home.resize(queries.size());
+  // One pass validates and routes every query, answers the self-homed ones
+  // from my pages, and gives every distinct remote global its ordinal
+  // (first-occurrence order); repeats read it back from the dedup table. A
+  // run of strictly ascending remote queries cannot repeat a global, so the
+  // table opens only at the first descent, seeded with the distinct globals
+  // seen so far: build_remap's my_globals() never opens it, and on
+  // workloads where that is the only locate with remote queries the table
+  // would cost every rank thread memory for nothing.
   s.pos.resize(queries.size());
-  i64 remote = 0;
+  s.distinct.clear();
+  s.where.clear();
+  bool ascending = true;
+  i64 prev = -1;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const i64 q = queries[i];
-    const int home = home_of(q);
-    if (home == my_rank_) {
-      const std::size_t slot = my_slot(q);
-      out[i] = Entry{proc_[slot], local_[slot]};
-      s.home[i] = -1;
-      s.pos[i] = -1;
-    } else {
-      s.home[i] = static_cast<i32>(home);
-      ++remote;
+    check_query(q, n_);
+    const Place at = place_of(q);
+    if (at.home == my_rank_) {
+      out[i] = Entry{proc_[at.slot], local_[at.slot]};
+      s.pos[i] = kAnswered;
+      continue;
     }
-  }
-
-  // Pass 2: give every distinct remote global its index within its home's
-  // request segment, first occurrence order; repeats reuse it. A strictly
-  // ascending batch has no repeats, so it skips the table and never grows
-  // it: build_remap's my_globals() is such a batch, and on workloads where
-  // it is the only locate with remote queries the table would cost every
-  // rank thread memory for nothing.
-  if (ascending) {
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (s.home[i] >= 0) {
-        s.pos[i] = my_counts[static_cast<std::size_t>(s.home[i])]++;
+    u32 id = static_cast<u32>(s.distinct.size());  // a new global's ordinal
+    bool fresh = true;
+    if (ascending && q <= prev) {
+      ascending = false;
+      s.dedup.begin(std::min(static_cast<i64>(queries.size()), n_), n_);
+      for (std::size_t d = 0; d < s.distinct.size(); ++d) {
+        s.dedup.find_or_insert(s.distinct[d]).first = static_cast<u32>(d);
       }
     }
-  } else {
-    s.dedup.begin(std::min(remote, n_));
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (s.home[i] < 0) continue;
-      auto [idx, fresh] = s.dedup.find_or_insert(queries[i]);
-      if (fresh) {
-        idx = static_cast<u32>(
-            my_counts[static_cast<std::size_t>(s.home[i])]++);
+    if (!ascending) {
+      auto [slot_id, slot_fresh] = s.dedup.find_or_insert(q);
+      if (slot_fresh) {
+        slot_id = id;
+      } else {
+        id = slot_id;
+        fresh = false;
       }
-      s.pos[i] = idx;
     }
+    prev = q;
+    if (fresh) {
+      s.distinct.push_back(q);
+      s.where.push_back(static_cast<u32>(at.home));
+      ++my_counts[static_cast<std::size_t>(at.home)];
+    }
+    s.pos[i] = id;
   }
 
-  // Pass 3: lay the segments out as one request CSR; each remote query's
-  // index becomes its flat position there, and the request buffer gets
-  // each distinct global once.
+  // Lay the distinct remote globals out as one request CSR, each home's
+  // segment in first-occurrence order; where[] turns from home rank into
+  // the global's position there.
   s.send_offsets.resize(np + 1);
   s.send_offsets[0] = 0;
   for (std::size_t r = 0; r < np; ++r) {
     s.send_offsets[r + 1] = s.send_offsets[r] + my_counts[r];
+    my_counts[r] = s.send_offsets[r];  // now the fill cursor of home r
   }
   const i64 wire = s.send_offsets[np];
   s.req.resize(static_cast<std::size_t>(wire));
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (s.home[i] < 0) continue;
-    s.pos[i] += s.send_offsets[static_cast<std::size_t>(s.home[i])];
-    s.req[static_cast<std::size_t>(s.pos[i])] = queries[i];
+  for (std::size_t d = 0; d < s.distinct.size(); ++d) {
+    const auto at = static_cast<u32>(my_counts[s.where[d]]++);
+    s.req[at] = s.distinct[d];
+    s.where[d] = at;
   }
   stats_.wire_queries += wire;
   p.stats().ttable_flat_wire_queries += wire;
@@ -248,7 +274,7 @@ void TranslationTable::dereference(rt::Process& p,
   // swapped (my recv prefix is the peers' send prefix and vice versa).
   s.reply.resize(static_cast<std::size_t>(incoming));
   for (std::size_t k = 0; k < s.peer_req.size(); ++k) {
-    const std::size_t slot = my_slot(s.peer_req[k]);
+    const std::size_t slot = place_of(s.peer_req[k]).slot;
     s.reply[k] = Entry{proc_[slot], local_[slot]};
   }
   s.answers.resize(static_cast<std::size_t>(wire));
@@ -258,7 +284,7 @@ void TranslationTable::dereference(rt::Process& p,
 
   // Resolve: answers are index-aligned with the request CSR.
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (s.pos[i] >= 0) out[i] = s.answers[static_cast<std::size_t>(s.pos[i])];
+    if (s.pos[i] != kAnswered) out[i] = s.answers[s.where[s.pos[i]]];
   }
 
   // Modeled charge: one table touch per query (plus the compensated extras)

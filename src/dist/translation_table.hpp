@@ -4,10 +4,11 @@
 //
 //   paged      — the table is split into fixed-size pages of consecutive
 //                globals; page pid lives on process pid % P. O(N/P) memory
-//                per process. dereference() batches all lookups through the
-//                flat CSR protocol: a counts alltoall plus two flat
-//                alltoallv exchanges over per-home deduplicated request
-//                segments.
+//                per process. Page, home and slot come from reciprocals
+//                fixed at build, with no hardware division. dereference()
+//                batches all lookups through the flat CSR protocol: a
+//                counts alltoall plus two flat alltoallv exchanges over
+//                per-home deduplicated request segments.
 //   replicated — every process stores the whole table. O(N) memory,
 //                zero-communication dereference.
 //
@@ -21,6 +22,27 @@
 #include "rt/machine.hpp"
 
 namespace chaos::dist {
+
+namespace detail {
+/// floor(a / d) by a multiply-high with a reciprocal fixed in advance, exact
+/// for every a < 2^32 and 1 <= d < 2^32: m = floor((2^64 - 1) / d), and the
+/// quotient is the high word of m * (a + 1). With m·d = 2^64 - e, 1 <= e <= d,
+/// that product is 2^64 · ((a + 1) / d - ε) with 0 < ε < 1/d, which floors to
+/// a / d whatever a's remainder (Lemire, Kaser and Kurz, "Faster Remainder by
+/// Direct Computation", SPE 2019, round-down variant). d = 1 needs no case.
+class Reciprocal {
+ public:
+  Reciprocal() = default;
+  explicit Reciprocal(u64 d) : m_(~u64{0} / d) {}
+  [[nodiscard]] u64 div(u64 a) const {
+    using u128 = unsigned __int128;
+    return static_cast<u64>((static_cast<u128>(m_) * (a + 1)) >> 64);
+  }
+
+ private:
+  u64 m_ = 0;
+};
+}  // namespace detail
 
 /// One resolved global reference: owning process and local offset there.
 struct Entry {
@@ -46,7 +68,8 @@ class TranslationTable {
   /// Collective. Every process contributes the globals it owns, in its local
   /// storage order (local index of mine[l] is l). Validates the claims form
   /// an exact partition of [0, n): double claims, unclaimed indices and
-  /// out-of-range claims all throw ChaosError.
+  /// out-of-range claims all throw ChaosError, and so does n >= 2^32, the
+  /// reach of the page reciprocals. Any page size >= 1 is legal.
   [[nodiscard]] static std::shared_ptr<const TranslationTable> build(
       rt::Process& p, i64 n, std::span<const i64> mine, i64 page_size = 4096,
       bool replicated = false);
@@ -74,20 +97,28 @@ class TranslationTable {
  private:
   TranslationTable() = default;
 
-  [[nodiscard]] i64 page_of(i64 g) const { return g / page_size_; }
-  [[nodiscard]] int home_of(i64 g) const {
-    return static_cast<int>(page_of(g) % nprocs_);
-  }
-  /// Flat slot of global @p g inside this process's page storage (the
-  /// caller guarantees home_of(g) == my rank).
-  [[nodiscard]] std::size_t my_slot(i64 g) const {
-    const i64 pid = page_of(g);
-    return static_cast<std::size_t>((pid / nprocs_) * page_size_ +
-                                    (g - pid * page_size_));
+  /// Where global @p g (in [0, n)) lives: page g / page_size is homed on
+  /// rank page % P, as the page-th / P of that rank's pages, so @p slot is
+  /// its flat index in the home's page storage.
+  struct Place {
+    int home;
+    std::size_t slot;
+  };
+  [[nodiscard]] Place place_of(i64 g) const {
+    const u64 page = page_div_.div(static_cast<u64>(g));
+    const u64 round = proc_div_.div(page);
+    const auto ps = static_cast<u64>(page_size_);
+    return Place{static_cast<int>(page - round * static_cast<u64>(nprocs_)),
+                 static_cast<std::size_t>(round * ps + (static_cast<u64>(g) -
+                                                        page * ps))};
   }
 
   i64 n_ = 0;
   i64 page_size_ = 4096;
+  /// Reciprocals of the page size (capped at max(n, 1), which leaves every
+  /// quotient of a g < n unchanged and keeps the divisor below 2^32) and P.
+  detail::Reciprocal page_div_;
+  detail::Reciprocal proc_div_;
   bool replicated_ = false;
   int nprocs_ = 0;
   int my_rank_ = 0;

@@ -595,11 +595,15 @@ bool repair_plan(rt::Process& p, Instance::State& st, const ForallMeta& m,
 /// operand's gathered column without copying it, so a position holds either
 /// an operand column or its own column: an op writing position i never
 /// overwrites an input at position i + 1.
-const f64* eval_block(const std::vector<StackInstr>& code,
-                      const f64* operand_cols,
-                      const std::vector<const i64*>& scalars,
-                      const i64* iter_ids, i64 len, f64* result,
-                      f64* scratch) {
+///
+/// Pinned out of line at a 64-byte boundary: COMPUTE spends most of a VM
+/// sweep in this loop, and its speed followed where the linker happened to
+/// place it. Builds that differed only in dist/ and core/ put it at 32 or
+/// 48 mod 64 and ran md648_fig4_vm's steps 8-20% slower than at 0 mod 64.
+[[gnu::noinline, gnu::aligned(64)]] const f64* eval_block(
+    const std::vector<StackInstr>& code, const f64* operand_cols,
+    const std::vector<const i64*>& scalars, const i64* iter_ids, i64 len,
+    f64* result, f64* scratch) {
   const f64* stack[kMaxExprDepth];
   int sp = 0;
   const auto column = [&](int pos) {

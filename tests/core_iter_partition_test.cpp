@@ -51,6 +51,34 @@ TEST(IterPartition, TieGoesToTheLowestRank) {
   });
 }
 
+TEST(IterPartition, TiesAmongManyReferencesGoToTheLowestTiedRank) {
+  // Four references per iteration, in three patterns that a vote keeping
+  // the first owner it sees among the most-voted would get wrong: a 2-2 tie
+  // between ranks 3 and 1 (3 seen first), a 1-1-1-1 tie (2 seen first), and
+  // a 2-1-1 majority for rank 2 (0 seen first).
+  rt::Machine::run(4, [](rt::Process& p) {
+    constexpr i64 ndata = 40;  // BLOCK: rank r owns [10r, 10r + 10)
+    constexpr i64 niter = 12;  // BLOCK: 3 iterations per rank
+    auto ddist = dist::Distribution::block(p, ndata);
+    auto idist = dist::Distribution::block(p, niter);
+    constexpr i64 refs[3][4] = {{35, 36, 15, 16},   // 3, 3, 1, 1 -> 1
+                                {25, 35, 15, 5},    // 2, 3, 1, 0 -> 0
+                                {5, 25, 35, 26}};   // 0, 2, 3, 2 -> 2
+    std::vector<i64> b[4];
+    for (i64 l = 0; l < idist->my_local_size(); ++l) {
+      for (int k = 0; k < 4; ++k) b[k].push_back(refs[l][k]);
+    }
+    const std::span<const i64> batches[] = {b[0], b[1], b[2], b[3]};
+    auto part = core::partition_iterations(p, *idist, *ddist, batches);
+
+    // Local iteration l of every rank is global iteration 3r + l.
+    const std::vector<std::vector<i64>> want = {
+        {1, 4, 7, 10}, {0, 3, 6, 9}, {2, 5, 8, 11}, {}};
+    EXPECT_EQ(part.iter_dist->my_globals(),
+              want[static_cast<std::size_t>(p.rank())]);
+  });
+}
+
 TEST(IterPartition, OwnerComputesFollowsFirstBatch) {
   rt::Machine::run(4, [](rt::Process& p) {
     constexpr i64 ndata = 40;

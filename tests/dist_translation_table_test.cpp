@@ -3,8 +3,9 @@
 // map on every layout, the 3-collective (paged) / 0-collective (replicated)
 // budget, the edge shapes (empty rank, all-local, P=1), the out-of-range
 // error text, a seeded differential check of the hashed remote dedup
-// against a brute-force count of distinct remote globals, and the
-// find-or-insert table that dedup runs on.
+// against a brute-force count of distinct remote globals, the division-free
+// page arithmetic and its 2^32 reach, and the find-or-insert table that
+// dedup runs on, in both its hashed and its direct-index passes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,6 +142,54 @@ TEST(TranslationTable, RepeatedQueriesGetConsistentAnswers) {
     tt->dereference(p, q, out);
     expect_answers(map, q, out);
   });
+}
+
+TEST(TranslationTable, RejectsAnExtentBeyondThePageArithmetic) {
+  // Page, home and slot come from 32-bit reciprocals, so a table covers
+  // fewer than 2^32 globals; a larger extent throws at build, on every rank
+  // before any collective, whichever organization it asks for.
+  rt::Machine::run(2, [](rt::Process& p) {
+    for (const bool replicated : {false, true}) {
+      try {
+        (void)dist::TranslationTable::build(p, i64{1} << 32, {}, 4096,
+                                            replicated);
+        ADD_FAILURE() << "build accepted 2^32 globals";
+      } catch (const chaos::ChaosError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "4294967296 globals exceed the 2^32"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    // The largest legal extent still passes the check (and then fails on
+    // coverage, since nobody claims anything).
+    EXPECT_THROW((void)dist::TranslationTable::build(
+                     p, (i64{1} << 32) - 1, {}, 4096),
+                 chaos::ChaosError);
+  });
+}
+
+TEST(Reciprocal, DividesExactlyAcrossTheThirtyTwoBitRange) {
+  // floor(a / d) for a < 2^32 and 1 <= d < 2^32, at every quotient
+  // boundary near 0, near a / d = 1 and at the top of the range, and on a
+  // strided sweep in between.
+  constexpr chaos::u64 top = (chaos::u64{1} << 32) - 1;
+  for (const chaos::u64 d :
+       {chaos::u64{1}, chaos::u64{2}, chaos::u64{3}, chaos::u64{7},
+        chaos::u64{64}, chaos::u64{4095}, chaos::u64{4096}, chaos::u64{4097},
+        chaos::u64{65521}, (chaos::u64{1} << 31) - 1, chaos::u64{1} << 31,
+        top - 1, top}) {
+    const dist::detail::Reciprocal r(d);
+    const chaos::u64 last = top / d * d;  // the largest multiple of d
+    for (const chaos::u64 a : {chaos::u64{0}, chaos::u64{1}, d - 1, d, d + 1,
+                               2 * d - 1, last - 1, last, top - 1, top}) {
+      if (a > top) continue;
+      EXPECT_EQ(r.div(a), a / d) << a << " / " << d;
+    }
+    for (chaos::u64 a = 0; a <= top; a += 104729 * 97) {
+      ASSERT_EQ(r.div(a), a / d) << a << " / " << d;
+    }
+  }
 }
 
 TEST(TranslationTable, DetectsDoubleClaim) {
@@ -378,7 +427,7 @@ TEST(DedupTable, KeepsTheCallersIdsForOnePass) {
   // The table never picks an id: a new key holds what the caller writes,
   // every repeat reads it back, and a new pass forgets the old keys.
   dist::DedupTable t;
-  t.begin(100);
+  t.begin(100, 100 * 1009);
   for (i64 k = 0; k < 100; ++k) {
     auto [id, fresh] = t.find_or_insert(k * 1009);
     ASSERT_TRUE(fresh);
@@ -393,13 +442,82 @@ TEST(DedupTable, KeepsTheCallersIdsForOnePass) {
   EXPECT_EQ(t.find(1), -1);
   // A new pass forgets every key, whether it probes the whole table again
   // or a smaller prefix of it that still holds the older slots.
-  t.begin(100);
+  t.begin(100, 100 * 1009);
   EXPECT_EQ(t.find(1009), -1);
   EXPECT_TRUE(t.find_or_insert(1009).second);
-  t.begin(3);
+  t.begin(3, 100 * 1009);
   EXPECT_EQ(t.find(0), -1);
   EXPECT_EQ(t.find(1009), -1);
   EXPECT_TRUE(t.find_or_insert(0).second);
   EXPECT_FALSE(t.find_or_insert(0).second);
-  EXPECT_THROW(t.begin(i64{1} << 33), chaos::ChaosError);
+  EXPECT_THROW(t.begin(i64{1} << 33, i64{1} << 33), chaos::ChaosError);
+}
+
+TEST(DedupTable, DirectIndexAndHashedPassesShareOneStorage) {
+  // A pass whose key range fits the table indexes each key's own slot; one
+  // whose range does not hashes into the same slots. Alternating the two
+  // must keep each pass's ids, miss every key the pass did not insert, and
+  // forget every key of an older pass, of either kind.
+  dist::DedupTable t;
+  const auto direct_key = [](i64 k, int round) {
+    return (k * 37 + round) % 100;  // 37 is coprime to 100: 40 distinct keys
+  };
+  const auto hashed_key = [](i64 k, int round) {
+    return (k + 1) * 1000003 + round;
+  };
+  for (int round = 0; round < 4; ++round) {
+    // 40 keys of [0, 100): the 128-slot table covers the range.
+    t.begin(40, 100);
+    std::set<i64> in;
+    for (i64 k = 0; k < 40; ++k) {
+      auto [id, fresh] = t.find_or_insert(direct_key(k, round));
+      ASSERT_TRUE(fresh);
+      id = static_cast<chaos::u32>(1000 * round + k);
+      in.insert(direct_key(k, round));
+    }
+    for (i64 k = 0; k < 40; ++k) {
+      auto [id, fresh] = t.find_or_insert(direct_key(k, round));
+      EXPECT_FALSE(fresh);
+      EXPECT_EQ(id, 1000 * round + k);
+    }
+    for (i64 g = 0; g < 100; ++g) {
+      if (in.count(g) == 0) {
+        EXPECT_EQ(t.find(g), -1) << g;
+      }
+    }
+    for (i64 k = 0; k < 40; ++k) {
+      EXPECT_EQ(t.find(hashed_key(k, round)), -1);
+    }
+
+    // The same 40-key bound over a range far larger than the table.
+    t.begin(40, i64{1} << 40);
+    for (i64 g = 0; g < 100; ++g) EXPECT_EQ(t.find(g), -1) << g;
+    for (i64 k = 0; k < 40; ++k) {
+      auto [id, fresh] = t.find_or_insert(hashed_key(k, round));
+      ASSERT_TRUE(fresh);
+      id = static_cast<chaos::u32>(k);
+    }
+    for (i64 k = 0; k < 40; ++k) {
+      EXPECT_EQ(t.find(hashed_key(k, round)), k);
+      EXPECT_FALSE(t.find_or_insert(hashed_key(k, round)).second);
+    }
+  }
+
+  // After a pass grows the table to 2048 slots, a small pass over a range
+  // of 2000 indexes the whole grown table directly: keys at both ends of
+  // the range, and an earlier pass's keys forgotten.
+  t.begin(1000, i64{1} << 40);
+  for (i64 k = 0; k < 1000; ++k) t.find_or_insert(k * 7919).first = 1;
+  t.begin(10, 2000);
+  for (i64 k = 0; k < 10; ++k) {
+    const i64 g = k % 2 == 0 ? k : 1999 - k;
+    auto [id, fresh] = t.find_or_insert(g);
+    ASSERT_TRUE(fresh) << g;
+    id = static_cast<chaos::u32>(k + 7);
+  }
+  for (i64 k = 0; k < 10; ++k) {
+    EXPECT_EQ(t.find(k % 2 == 0 ? k : 1999 - k), k + 7);
+  }
+  EXPECT_EQ(t.find(0 + 7919), -1);
+  EXPECT_EQ(t.find(1), -1);
 }
