@@ -133,7 +133,6 @@ std::vector<PhaseCount> measure_phases(int procs) {
       std::vector<f64> v(4, static_cast<f64>(p.rank()));
       (void)rt::allreduce_vec(p, v, std::plus<>{});
     });
-    count("exscan", [&] { (void)rt::exscan_sum(p, i64{1}); });
     count("allgather", [&] { (void)rt::allgather(p, i64{p.rank()}); });
     count("allgatherv", [&] {
       std::vector<i64> mine(2, p.rank());
@@ -161,13 +160,6 @@ std::vector<PhaseCount> measure_phases(int procs) {
     count("gatherv", [&] {
       std::vector<i64> mine(2, p.rank());
       (void)rt::gatherv<i64>(p, mine);
-    });
-    count("scatterv", [&] {
-      std::vector<std::vector<i64>> blocks;
-      if (p.is_root()) {
-        blocks.assign(static_cast<std::size_t>(P), {i64{4}});
-      }
-      (void)rt::scatterv(p, blocks);
     });
   });
   return out;

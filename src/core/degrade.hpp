@@ -11,8 +11,8 @@
 // distribution built through Distribution::irregular_from_map and moved
 // into place by the remap engine — so new DAD incarnations are minted as a
 // side effect, which is exactly what makes the rest of the system correct
-// for free: CHECK_INCARNATION guards, TranslationCache bindings, PlanCache
-// entries, and Section-3 reuse records keyed to the dead-width
+// for free: CHECK_INCARNATION guards, TranslationCache bindings, and the
+// InspectorCache's Section-3 reuse records keyed to the dead-width
 // distributions all invalidate themselves.
 //
 // Rank renumbering: the machine stays dense — surviving old rank r becomes

@@ -10,8 +10,9 @@
 //                                    REDUCE(ADD, y(e1(i)), f(x(e1),x(e2)))
 //                                    REDUCE(ADD, y(e2(i)), g(x(e1),x(e2)))
 //
-// Plans are shared_ptr products designed to live in an InspectorCache keyed
-// by loop id, guarded by the Section 3 reuse conditions.
+// Plans are shared_ptr products designed to live in an InspectorCache, one
+// slot per loop id (a hand-written loop's, or a FORALL statement's in the
+// VM), guarded by the Section 3 reuse conditions.
 #pragma once
 
 #include <memory>

@@ -219,9 +219,9 @@ struct Instance::State {
   std::map<std::string, std::shared_ptr<const dist::Distribution>> dists;
   std::map<std::string, i64> scalars;
   core::ReuseRegistry registry;
-  /// Section 3 guard: plans keyed by (statement id, DAD incarnation set),
-  /// probed by CHECK_INCARNATION.
-  core::PlanCache plan_cache;
+  /// Section 3 guard: one plan per FORALL statement, probed by
+  /// CHECK_INCARNATION.
+  core::InspectorCache plan_cache;
   std::vector<ForallRt> frt;  ///< indexed by ProgramPlan forall id
   /// Section 3 applied to the mapper coupler: cached GeoCoL graphs and
   /// partitioner outputs, guarded by the DADs / last_mod of their source
@@ -1251,19 +1251,19 @@ void Instance::run_vm(rt::Process& p) {
           auto pr = st.plan_cache.probe(plan_opts_.repair_enabled(), m.loop_id,
                                         st.registry, fx.guard_data,
                                         fx.guard_ind);
-          if (pr.outcome == core::PlanCache::ProbeOutcome::Hit) {
+          if (pr.outcome == core::InspectorCache::ProbeOutcome::Hit) {
             fx.plan = std::static_pointer_cast<LoopPlan>(std::move(pr.product));
             pc = ins.b;  // warm entry: straight to EXEC_BEGIN
             break;
           }
-          if (pr.outcome == core::PlanCache::ProbeOutcome::RepairCandidate) {
+          if (pr.outcome ==
+              core::InspectorCache::ProbeOutcome::RepairCandidate) {
             // DADs match and only the indirection stamp is stale: try the
             // splice before paying a full re-inspection (DESIGN.md §14).
             auto cand =
                 std::static_pointer_cast<LoopPlan>(std::move(pr.product));
             if (repair_plan(p, st, m, fx.n, *cand, phases_)) {
-              st.plan_cache.note_repaired(m.loop_id, st.registry,
-                                          fx.guard_data, fx.guard_ind);
+              st.plan_cache.note_repaired(m.loop_id, st.registry);
               fx.plan = std::move(cand);
               pc = ins.b;  // repaired entry: straight to EXEC_BEGIN
               break;

@@ -6,9 +6,10 @@
 //
 // Execution is a dispatch loop over PlanIR bytecode (bytecode.hpp): the AST
 // is lowered once at Instance construction, and warm FORALL re-executions
-// ride a program-level plan cache keyed by (statement id, DAD incarnation
-// set) — zero AST visits, zero inspector invocations. Its oracle is the
-// serial reference evaluator (reference.hpp), which shares no code with it.
+// ride the Section 3 reuse cache (core::InspectorCache), which keeps one plan
+// per FORALL statement — zero AST visits, zero inspector invocations. Its
+// oracle is the serial reference evaluator (reference.hpp), which shares no
+// code with it.
 //
 // Usage (identical on every process):
 //   auto prog = lang::compile(source);

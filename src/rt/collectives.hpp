@@ -153,10 +153,6 @@ template <typename T>
 T allreduce_max(Process& p, const T& v) {
   return allreduce(p, v, [](const T& a, const T& b) { return std::max(a, b); });
 }
-template <typename T>
-T allreduce_min(Process& p, const T& v) {
-  return allreduce(p, v, [](const T& a, const T& b) { return std::min(a, b); });
-}
 
 /// Element-wise all-reduce of equal-length vectors (one slot per work group;
 /// used by the level-parallel bisection partitioners).
@@ -182,37 +178,6 @@ std::vector<T> allreduce_vec(Process& p, const std::vector<T>& value,
       p.nprocs(), static_cast<i64>(acc.size() * sizeof(T))));
   p.barrier_sync_only();
   return acc;
-}
-
-/// Exclusive prefix sum over ranks (rank r receives sum of values 0..r-1).
-template <typename T>
-T exscan_sum(Process& p, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  ++p.stats().collectives;
-  Machine& m = p.machine();
-  const u64 seq = p.next_bb_seq();
-  const f64 cost = p.params().small_collective_us(
-      p.nprocs(), static_cast<i64>(sizeof(T)));
-  if constexpr (detail::fits_inline_v<T>) {
-    std::memcpy(m.bb_slot(p.rank(), seq), &value, sizeof(T));
-    detail::fused_sync(p, cost);
-    T acc{};
-    for (int r = 0; r < p.rank(); ++r) {
-      T v;
-      std::memcpy(&v, m.bb_slot(r, seq), sizeof(T));
-      acc = acc + v;
-    }
-    return acc;
-  } else {
-    detail::bb_publish_ptr(m, p.rank(), seq, &value);
-    detail::fused_sync(p, cost);
-    T acc{};
-    for (int r = 0; r < p.rank(); ++r) {
-      acc = acc + *static_cast<const T*>(detail::bb_fetch_ptr(m, r, seq));
-    }
-    p.barrier_sync_only();
-    return acc;
-  }
 }
 
 /// Gather one value from every rank; every rank receives the full array.
@@ -476,41 +441,6 @@ std::vector<T> gatherv(Process& p, std::span<const T> local, int root = 0,
       p.clock().charge(c.recv_us(bytes));
       p.stats().note_recv(bytes);
     }
-  }
-  p.barrier_sync_only();
-  return out;
-}
-
-/// Scatter variable-length blocks from @p root: rank r receives blocks[r].
-template <typename T>
-std::vector<T> scatterv(Process& p, const std::vector<std::vector<T>>& blocks,
-                        int root = 0) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  ++p.stats().collectives;
-  Machine& m = p.machine();
-  const u64 seq = p.next_bb_seq();
-  if (p.rank() == root) {
-    CHAOS_CHECK(static_cast<int>(blocks.size()) == p.nprocs(),
-                "scatterv: need one block per rank");
-    detail::bb_publish_ptr(m, root, seq, &blocks);
-  }
-  detail::fused_sync(p, 0.0);
-  const auto& all = *static_cast<const std::vector<std::vector<T>>*>(
-      detail::bb_fetch_ptr(m, root, seq));
-  std::vector<T> out = all[static_cast<std::size_t>(p.rank())];
-  const CostParams& c = p.params();
-  const i64 bytes = static_cast<i64>(out.size() * sizeof(T));
-  if (p.rank() == root) {
-    for (int r = 0; r < p.nprocs(); ++r) {
-      if (r == root) continue;
-      const i64 b =
-          static_cast<i64>(all[static_cast<std::size_t>(r)].size() * sizeof(T));
-      p.clock().charge(c.send_us(b));
-      p.stats().note_send(b);
-    }
-  } else {
-    p.clock().charge(c.recv_us(bytes));
-    p.stats().note_recv(bytes);
   }
   p.barrier_sync_only();
   return out;

@@ -152,14 +152,22 @@ TEST(InspectorCache, LoopsAreIndependent) {
   core::InspectorCache cache;
   int builds = 0;
   auto build = [&] { return std::make_shared<int>(++builds); };
-  (void)cache.get_or_build<int>(1, reg, {make_dad(1)}, {make_dad(2)}, build);
-  (void)cache.get_or_build<int>(2, reg, {make_dad(1)}, {make_dad(2)}, build);
+  const auto x = make_dad(1);
+  const auto ind1 = make_dad(2);
+  const auto ind2 = make_dad(3);
+  (void)cache.get_or_build<int>(1, reg, {x}, {ind1}, build);
+  (void)cache.get_or_build<int>(2, reg, {x}, {ind2}, build);
   EXPECT_EQ(builds, 2);
   EXPECT_EQ(cache.size(), 2u);
-  cache.invalidate(1);
-  EXPECT_EQ(cache.size(), 1u);
-  (void)cache.get_or_build<int>(2, reg, {make_dad(1)}, {make_dad(2)}, build);
-  EXPECT_EQ(builds, 2);  // loop 2 untouched by invalidating loop 1
+  // A write that only loop 1 reads stales loop 1 alone.
+  reg.note_write(ind1);
+  (void)cache.get_or_build<int>(2, reg, {x}, {ind2}, build);
+  EXPECT_EQ(builds, 2);  // loop 2 untouched by loop 1's indirection write
+  (void)cache.get_or_build<int>(1, reg, {x}, {ind1}, build);
+  EXPECT_EQ(builds, 3);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(cache.stats().misses, 3);
 }
 
 TEST(InspectorCache, RemapOfDataArrayForcesRebuild) {
@@ -180,9 +188,11 @@ TEST(InspectorCache, RemapOfDataArrayForcesRebuild) {
 // whenever (and only report reuse when) a rebuild would produce the same
 // plan. We model the "plan" as a copy of the indirection array's version
 // counter: reuse is stale iff the cached plan's version differs from the
-// current version.
+// current version. Half the executions offer a repair that randomly either
+// brings the cached plan to the current version or declines.
 TEST(InspectorCache, PropertyNeverServesStalePlans) {
   chaos::wl::Rng rng(2024);
+  i64 repairs = 0, fallbacks = 0;
   for (int trial = 0; trial < 50; ++trial) {
     core::ReuseRegistry reg;
     core::InspectorCache cache;
@@ -192,6 +202,7 @@ TEST(InspectorCache, PropertyNeverServesStalePlans) {
     std::vector<int> version{0, 0, 0};
     dist::Dad data_dad = make_dad(1000);
     u64 next_inc = 5000;
+    i64 executions = 0;
 
     for (int step = 0; step < 200; ++step) {
       const int action = static_cast<int>(rng.below(4));
@@ -215,15 +226,155 @@ TEST(InspectorCache, PropertyNeverServesStalePlans) {
         struct Plan {
           int built_from_version;
         };
-        auto plan = cache.get_or_build<Plan>(
-            loop_id * 10 + j, reg, {data_dad}, {ind_dads[j]},
-            [&] { return std::make_shared<Plan>(Plan{version[j]}); });
+        auto build = [&] { return std::make_shared<Plan>(Plan{version[j]}); };
+        std::shared_ptr<Plan> plan;
+        if (rng.below(2) == 0) {
+          plan = cache.get_or_build<Plan>(loop_id * 10 + j, reg, {data_dad},
+                                          {ind_dads[j]}, build);
+        } else {
+          plan = cache.get_or_build<Plan>(
+              loop_id * 10 + j, reg, {data_dad}, {ind_dads[j]}, build,
+              [&](const std::shared_ptr<Plan>& cached) {
+                if (rng.below(2) == 0) return false;
+                cached->built_from_version = version[j];
+                return true;
+              });
+        }
+        ++executions;
         // THE invariant: a served plan always matches the current state.
         ASSERT_EQ(plan->built_from_version, version[j])
             << "stale plan served at trial " << trial << " step " << step;
       }
     }
+    // Every execution is exactly one hit, repair or miss; a fallback is
+    // also a miss.
+    const auto& st = cache.stats();
+    EXPECT_EQ(st.hits + st.repairs + st.misses, executions);
+    EXPECT_LE(st.repair_fallbacks, st.misses);
+    repairs += st.repairs;
+    fallbacks += st.repair_fallbacks;
   }
+  // Both answers of the repair were exercised.
+  EXPECT_GT(repairs, 0);
+  EXPECT_GT(fallbacks, 0);
+}
+
+// The probe / note / store protocol the VM drives directly.
+
+TEST(InspectorCache, ProbeHitsOnACleanSlot) {
+  core::ReuseRegistry reg;
+  core::InspectorCache cache;
+  const std::vector<dist::Dad> data{make_dad(1)};
+  const std::vector<dist::Dad> ind{make_dad(2)};
+  reg.note_write(ind[0]);
+  auto product = std::make_shared<int>(42);
+  cache.store(5, reg, data, ind, product);
+  EXPECT_EQ(cache.stats().misses, 0);  // store() counts nothing
+
+  const auto pr = cache.probe(/*offer_repair=*/false, 5, reg, data, ind);
+  EXPECT_EQ(pr.outcome, core::InspectorCache::ProbeOutcome::Hit);
+  EXPECT_EQ(pr.product.get(), product.get());
+  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(cache.stats().misses, 0);
+
+  // An id never stored is a counted miss.
+  const auto cold = cache.probe(/*offer_repair=*/true, 6, reg, data, ind);
+  EXPECT_EQ(cold.outcome, core::InspectorCache::ProbeOutcome::Miss);
+  EXPECT_EQ(cold.product, nullptr);
+  EXPECT_EQ(cache.stats().misses, 1);
+}
+
+TEST(InspectorCache, StaleSlotIsACountedMissWithRepairOff) {
+  core::ReuseRegistry reg;
+  core::InspectorCache cache;
+  const std::vector<dist::Dad> data{make_dad(1)};
+  const std::vector<dist::Dad> ind{make_dad(2)};
+  cache.store(5, reg, data, ind, std::make_shared<int>(1));
+  reg.note_write(ind[0]);
+  const auto pr = cache.probe(/*offer_repair=*/false, 5, reg, data, ind);
+  EXPECT_EQ(pr.outcome, core::InspectorCache::ProbeOutcome::Miss);
+  EXPECT_EQ(pr.product, nullptr);
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().hits, 0);
+  EXPECT_EQ(cache.stats().repairs, 0);
+  EXPECT_EQ(cache.stats().repair_fallbacks, 0);
+}
+
+TEST(InspectorCache, StaleSlotWithMatchingDadsIsARepairCandidate) {
+  core::ReuseRegistry reg;
+  core::InspectorCache cache;
+  const std::vector<dist::Dad> data{make_dad(1)};
+  const std::vector<dist::Dad> ind{make_dad(2)};
+  auto product = std::make_shared<int>(1);
+  cache.store(5, reg, data, ind, product);
+  reg.note_write(ind[0]);
+
+  // Uncounted until the caller resolves it.
+  auto pr = cache.probe(/*offer_repair=*/true, 5, reg, data, ind);
+  EXPECT_EQ(pr.outcome, core::InspectorCache::ProbeOutcome::RepairCandidate);
+  EXPECT_EQ(pr.product.get(), product.get());
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0);
+
+  // A successful splice advances the stamps: the next probe hits.
+  cache.note_repaired(5, reg);
+  EXPECT_EQ(cache.stats().repairs, 1);
+  pr = cache.probe(/*offer_repair=*/true, 5, reg, data, ind);
+  EXPECT_EQ(pr.outcome, core::InspectorCache::ProbeOutcome::Hit);
+  EXPECT_EQ(cache.stats().hits, 1);
+
+  // A declined splice is one fallback and one miss.
+  reg.note_write(ind[0]);
+  pr = cache.probe(/*offer_repair=*/true, 5, reg, data, ind);
+  EXPECT_EQ(pr.outcome, core::InspectorCache::ProbeOutcome::RepairCandidate);
+  cache.note_repair_fallback();
+  EXPECT_EQ(cache.stats().repair_fallbacks, 1);
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().repairs, 1);
+  EXPECT_EQ(cache.stats().hits, 1);
+}
+
+TEST(InspectorCache, DadMismatchIsAMissEvenWithRepairOn) {
+  core::ReuseRegistry reg;
+  core::InspectorCache cache;
+  const std::vector<dist::Dad> data{make_dad(1)};
+  const std::vector<dist::Dad> ind{make_dad(2)};
+  cache.store(5, reg, data, ind, std::make_shared<int>(1));
+  reg.note_write(ind[0]);  // stale as well: only the DADs decide
+
+  const std::vector<dist::Dad> remapped{make_dad(11)};
+  auto pr = cache.probe(/*offer_repair=*/true, 5, reg, remapped, ind);
+  EXPECT_EQ(pr.outcome, core::InspectorCache::ProbeOutcome::Miss);
+  EXPECT_EQ(pr.product, nullptr);
+  const std::vector<dist::Dad> ind_remapped{make_dad(12)};
+  pr = cache.probe(/*offer_repair=*/true, 5, reg, data, ind_remapped);
+  EXPECT_EQ(pr.outcome, core::InspectorCache::ProbeOutcome::Miss);
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_EQ(cache.stats().repair_fallbacks, 0);
+}
+
+TEST(InspectorCache, StoreReplacesTheSlotAndReleasesItsProduct) {
+  core::ReuseRegistry reg;
+  core::InspectorCache cache;
+  const std::vector<dist::Dad> ind{make_dad(2)};
+  const std::vector<dist::Dad> first{make_dad(1)};
+  auto old_product = std::make_shared<int>(1);
+  const std::weak_ptr<int> old_ref = old_product;
+  cache.store(5, reg, first, ind, std::move(old_product));
+
+  // A REDISTRIBUTE mints a fresh DAD set: the loop re-inspects and stores.
+  const std::vector<dist::Dad> second{make_dad(9)};
+  reg.note_remap(second[0]);
+  ASSERT_EQ(cache.probe(false, 5, reg, second, ind).outcome,
+            core::InspectorCache::ProbeOutcome::Miss);
+  cache.store(5, reg, second, ind, std::make_shared<int>(2));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(old_ref.expired());
+
+  // One slot per loop: switching back to the first DAD set re-inspects.
+  EXPECT_EQ(cache.probe(false, 5, reg, second, ind).outcome,
+            core::InspectorCache::ProbeOutcome::Hit);
+  EXPECT_EQ(cache.probe(false, 5, reg, first, ind).outcome,
+            core::InspectorCache::ProbeOutcome::Miss);
 }
 
 TEST(ReuseRegistry, SpmdRegistriesStayIdentical) {

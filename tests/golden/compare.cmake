@@ -1,8 +1,9 @@
-# Runs one example and compares its stdout byte for byte with a golden file.
+# Runs one program (an example or a paper-table bench) and compares its stdout
+# byte for byte with a golden file.
 #
-#   cmake -DEXE=<example binary> -DGOLDEN=<golden .txt> -P compare.cmake
+#   cmake -DEXE=<binary> -DGOLDEN=<golden .txt> -P compare.cmake
 #
-# Fails if the example exits nonzero or if any byte of its stdout differs
+# Fails if the program exits nonzero or if any byte of its stdout differs
 # from the golden file; a mismatch reports the first differing line.
 execute_process(COMMAND "${EXE}" OUTPUT_VARIABLE actual RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

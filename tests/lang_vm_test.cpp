@@ -333,8 +333,9 @@ C$    REDISTRIBUTE reg(distfmt)
   out.push_back(mapper);
 
   // Two REDISTRIBUTEs per step, RSB then GEOMETRY/RCB, each followed by a
-  // FORALL: the data arrays alternate between two distributions, and each
-  // FORALL's plan stays cached under its own DAD incarnation.
+  // FORALL: the data arrays alternate between two distributions, but each
+  // FORALL always runs under the same one, so its one cached plan keeps
+  // hitting.
   Scenario two = on_tiny_mesh("two_redistributes", R"(
       REAL*8 x(nnode), y(nnode), z(nnode), xc(nnode), yc(nnode), zc(nnode)
       INTEGER e1(nedge), e2(nedge)
@@ -367,6 +368,40 @@ C$    REDISTRIBUTE reg(fb)
   two.mapper_misses = 4;
   two.mapper_hits = 8;
   out.push_back(two);
+
+  // A partition recomputed every step from coordinates the program itself
+  // moves: every step writes CX, so the GeoCoL, the partition and both
+  // FORALLs' plans are rebuilt (each REDISTRIBUTE mints fresh DADs). Every
+  // probe misses, and each loop's one slot is replaced, not added to.
+  Scenario repartition = on_tiny_mesh("repartition_every_step", R"(
+      REAL*8 x(nnode), y(nnode), cx(nnode), cy(nnode), cz(nnode)
+      INTEGER end_pt1(nedge), end_pt2(nedge)
+C$    DECOMPOSITION reg(nnode), reg2(nedge)
+C$    DISTRIBUTE reg(BLOCK), reg2(BLOCK)
+C$    ALIGN x, y, cx, cy, cz WITH reg
+C$    ALIGN end_pt1, end_pt2 WITH reg2
+      DO step = 1, 50
+      FORALL i = 1, nnode
+        REDUCE(ADD, cx(i), 0.001 * x(i))
+      END FORALL
+C$    CONSTRUCT G (nnode, GEOMETRY(3, cx, cy, cz))
+C$    SET distfmt BY PARTITIONING G USING RCB
+C$    REDISTRIBUTE reg(distfmt)
+      FORALL i = 1, nedge
+        REDUCE(ADD, y(end_pt1(i)), x(end_pt1(i)) * x(end_pt2(i)))
+        REDUCE(ADD, y(end_pt2(i)), x(end_pt1(i)) - x(end_pt2(i)))
+      END FORALL
+      END DO
+)",
+                                       "END_PT1", "END_PT2");
+  repartition.reals["CX"] = mesh.x;
+  repartition.reals["CY"] = mesh.y;
+  repartition.reals["CZ"] = mesh.z;
+  repartition.plan_misses = 100;
+  repartition.plan_hits = 0;
+  repartition.mapper_misses = 100;
+  repartition.mapper_hits = 0;
+  out.push_back(repartition);
 
   // COMPUTE evaluates blocks of 256 local iterations: with 1003 iterations
   // P = 1 runs three full blocks and a partial tail, rank 0 at P = 3 and 4

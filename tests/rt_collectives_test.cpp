@@ -41,22 +41,12 @@ TEST_P(CollectivesSweep, BroadcastScalarAndVector) {
   });
 }
 
-TEST_P(CollectivesSweep, AllreduceSumMaxMin) {
+TEST_P(CollectivesSweep, AllreduceSumMax) {
   const int P = GetParam();
   rt::Machine::run(P, [&](rt::Process& p) {
     const i64 r = p.rank();
     EXPECT_EQ(rt::allreduce_sum(p, r + 1), i64(P) * (P + 1) / 2);
     EXPECT_EQ(rt::allreduce_max(p, r), i64(P - 1));
-    EXPECT_EQ(rt::allreduce_min(p, r), i64(0));
-  });
-}
-
-TEST_P(CollectivesSweep, ExscanSum) {
-  const int P = GetParam();
-  rt::Machine::run(P, [&](rt::Process& p) {
-    // Value r+1 at rank r: exclusive prefix at r is sum 1..r.
-    const i64 got = rt::exscan_sum(p, i64{p.rank() + 1});
-    EXPECT_EQ(got, i64(p.rank()) * (p.rank() + 1) / 2);
   });
 }
 
@@ -122,7 +112,7 @@ TEST_P(CollectivesSweep, AlltoallvEmptyLanesAreFine) {
   });
 }
 
-TEST_P(CollectivesSweep, GathervAndScatterv) {
+TEST_P(CollectivesSweep, Gatherv) {
   const int P = GetParam();
   rt::Machine::run(P, [&](rt::Process& p) {
     std::vector<i64> mine{i64{p.rank()}, i64{p.rank()} * 2};
@@ -137,17 +127,6 @@ TEST_P(CollectivesSweep, GathervAndScatterv) {
     } else {
       EXPECT_TRUE(gathered.empty());
     }
-
-    std::vector<std::vector<i64>> blocks;
-    if (p.is_root()) {
-      blocks.resize(static_cast<std::size_t>(P));
-      for (int r = 0; r < P; ++r) {
-        blocks[static_cast<std::size_t>(r)] = {i64{1000} + r};
-      }
-    }
-    auto got = rt::scatterv(p, blocks, 0);
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], 1000 + p.rank());
   });
 }
 
