@@ -139,9 +139,13 @@ std::vector<PhaseCount> measure_phases(int procs) {
       (void)rt::allgatherv<i64>(p, mine);
     });
     count("alltoallv", [&] {
-      std::vector<std::vector<i64>> send(static_cast<std::size_t>(P));
-      for (auto& s : send) s = {1, 2};
-      (void)rt::alltoallv(p, send);
+      std::vector<i64> send(static_cast<std::size_t>(2 * P), 1);
+      std::vector<i64> offsets(static_cast<std::size_t>(P) + 1, 0);
+      for (int r = 1; r <= P; ++r) {
+        offsets[static_cast<std::size_t>(r)] = 2 * r;
+      }
+      std::vector<i64> recv, recv_offsets;
+      rt::alltoallv<i64>(p, send, offsets, recv, recv_offsets);
     });
     count("alltoall", [&] {
       std::vector<i64> send(static_cast<std::size_t>(P), 3);

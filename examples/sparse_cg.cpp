@@ -51,13 +51,19 @@ LocalMatrix build_local_laplacian(rt::Process& p, const wl::Mesh& mesh,
     endpoints.push_back(mesh.edge2[static_cast<std::size_t>(e)]);
   }
   auto owners = d.locate(p, endpoints);
-  std::vector<std::vector<Half>> outgoing(static_cast<std::size_t>(p.nprocs()));
-  for (std::size_t k = 0; k < endpoints.size(); k += 2) {
-    const i64 u = endpoints[k], v = endpoints[k + 1];
-    outgoing[static_cast<std::size_t>(owners[k].proc)].push_back({u, v});
-    outgoing[static_cast<std::size_t>(owners[k + 1].proc)].push_back({v, u});
-  }
-  auto incoming = rt::alltoallv(p, outgoing);
+  // Half-edge k goes to the owner of endpoints[k], paired with the edge's
+  // other endpoint, endpoints[k ^ 1].
+  std::vector<Half> outgoing(endpoints.size());
+  std::vector<i64> send_offsets;
+  rt::group_by_dest(
+      p.nprocs(), endpoints.size(),
+      [&](std::size_t k) { return owners[k].proc; }, send_offsets,
+      [&](std::size_t k, std::size_t slot) {
+        outgoing[slot] = {endpoints[k], endpoints[k ^ 1]};
+      });
+  std::vector<Half> incoming;
+  std::vector<i64> incoming_offsets;
+  rt::alltoallv<Half>(p, outgoing, send_offsets, incoming, incoming_offsets);
 
   const i64 nlocal = d.my_local_size();
   // Adjacency per local row.
@@ -72,10 +78,8 @@ LocalMatrix build_local_laplacian(rt::Process& p, const wl::Mesh& mesh,
     auto it = std::lower_bound(gl.begin(), gl.end(), std::make_pair(g, i64{0}));
     return it->second;
   };
-  for (const auto& block : incoming) {
-    for (const auto& h : block) {
-      nb[static_cast<std::size_t>(local_of(h.u))].push_back(h.v);
-    }
+  for (const auto& h : incoming) {
+    nb[static_cast<std::size_t>(local_of(h.u))].push_back(h.v);
   }
   LocalMatrix m;
   m.xadj.assign(static_cast<std::size_t>(nlocal) + 1, 0);

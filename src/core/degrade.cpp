@@ -15,35 +15,44 @@ using dist::RemapPlan;
 using rt::Process;
 using rt::SegmentSnapshot;
 
-/// Scatters (global, owner) claims to the block-owners of a map space and
+/// One ownership claim: global @c g lives (or shall live) on rank @c owner.
+struct OwnerClaim {
+  i64 g, owner;
+};
+
+/// Scatters ownership claims to the block-owners of a map space and
 /// assembles each rank's slice of the paper's map array: map_slice[l] =
 /// claimed owner of map_dist.global_of(rank, l). Every global in [0, N)
 /// must be claimed exactly once across the machine — the checkpoint
 /// partitions the index space, so a hole or a duplicate means snapshots
 /// from different epochs were mixed.
-std::vector<i64> owner_map_from_claims(
-    Process& p, const Distribution& map_dist,
-    const std::vector<std::vector<i64>>& claims /* per dest, (g, owner)* */) {
-  const auto incoming = rt::alltoallv<i64>(p, claims);
+std::vector<i64> owner_map_from_claims(Process& p,
+                                       const Distribution& map_dist,
+                                       std::span<const OwnerClaim> claims) {
+  std::vector<OwnerClaim> outgoing(claims.size());
+  std::vector<i64> send_offsets;
+  rt::group_by_dest(
+      p.nprocs(), claims.size(),
+      [&](std::size_t i) { return map_dist.owner_of(claims[i].g); },
+      send_offsets,
+      [&](std::size_t i, std::size_t slot) { outgoing[slot] = claims[i]; });
+  std::vector<OwnerClaim> incoming;
+  std::vector<i64> incoming_offsets;
+  rt::alltoallv<OwnerClaim>(p, outgoing, send_offsets, incoming,
+                            incoming_offsets);
   std::vector<i64> map_slice(
       static_cast<std::size_t>(map_dist.my_local_size()), -1);
   const i64 base = map_dist.my_local_size() > 0
                        ? map_dist.global_of(p.rank(), 0)
                        : 0;
-  for (const auto& from : incoming) {
-    CHAOS_CHECK(from.size() % 2 == 0,
-                "restore_shrunk: malformed ownership claim batch");
-    for (std::size_t k = 0; k < from.size(); k += 2) {
-      const i64 g = from[k];
-      const i64 owner = from[k + 1];
-      const i64 l = g - base;
-      CHAOS_CHECK(l >= 0 && l < static_cast<i64>(map_slice.size()),
-                  "restore_shrunk: ownership claim outside my map slice");
-      CHAOS_CHECK(map_slice[static_cast<std::size_t>(l)] == -1,
-                  "restore_shrunk: global claimed twice — checkpoint mixes "
-                  "epochs");
-      map_slice[static_cast<std::size_t>(l)] = owner;
-    }
+  for (const OwnerClaim& c : incoming) {
+    const i64 l = c.g - base;
+    CHAOS_CHECK(l >= 0 && l < static_cast<i64>(map_slice.size()),
+                "restore_shrunk: ownership claim outside my map slice");
+    CHAOS_CHECK(map_slice[static_cast<std::size_t>(l)] == -1,
+                "restore_shrunk: global claimed twice — checkpoint mixes "
+                "epochs");
+    map_slice[static_cast<std::size_t>(l)] = c.owner;
   }
   for (const i64 owner : map_slice) {
     CHAOS_CHECK(owner >= 0,
@@ -149,27 +158,17 @@ std::vector<RestoredSegment> restore_shrunk(Process& p,
     // rank's. TARGET distribution = where each global SHALL live: survivors
     // keep their own, the dead rank's elements are dealt round-robin across
     // all survivors (balanced, deterministic).
-    std::vector<std::vector<i64>> staging_claims(
-        static_cast<std::size_t>(new_p));
-    std::vector<std::vector<i64>> target_claims(
-        static_cast<std::size_t>(new_p));
-    auto claim = [&](std::vector<std::vector<i64>>& claims, i64 g,
-                     i64 owner) {
-      auto& dest =
-          claims[static_cast<std::size_t>(map_dist->owner_of(g))];
-      dest.push_back(g);
-      dest.push_back(owner);
-    };
+    std::vector<OwnerClaim> staging_claims, target_claims;
     const i64 me = static_cast<i64>(p.rank());
     for (const i64 g : ref.globals) {
-      claim(staging_claims, g, me);
-      claim(target_claims, g, me);
+      staging_claims.push_back({g, me});
+      target_claims.push_back({g, me});
     }
     if (holder) {
       i64 k = 0;
       for (const i64 g : dead_ref->globals) {
-        claim(staging_claims, g, me);
-        claim(target_claims, g, k % new_p);
+        staging_claims.push_back({g, me});
+        target_claims.push_back({g, k % new_p});
         ++k;
       }
     }

@@ -81,42 +81,30 @@ std::shared_ptr<const GeoCol> GeoColBuilder::build() {
       endpoints.push_back(edge_u_[static_cast<std::size_t>(e)]);
       endpoints.push_back(edge_v_[static_cast<std::size_t>(e)]);
     }
-    const auto owners = g_->vdist_->locate(p, endpoints);
+    auto owners = g_->vdist_->locate(p, endpoints);
 
-    // Route each half-edge to its endpoint's owner: count per destination,
-    // prefix, fill one destination-ordered flat buffer, then hand the CSR to
-    // the inspector's shared exchange_csr — the same counts + flat-payload
+    // Route each half-edge to its endpoint's owner and hand the CSR to the
+    // inspector's shared exchange_csr — the same counts + flat-payload
     // exchange that forms communication schedules, so graph assembly and
-    // localize stay on one exchange code path.
-    const auto np = static_cast<std::size_t>(p.nprocs());
-    std::vector<i64> send_offsets(np + 1, 0);
-    for (i64 e = 0; e < local_edges; ++e) {
-      if (edge_u_[static_cast<std::size_t>(e)] ==
-          edge_v_[static_cast<std::size_t>(e)]) {
-        continue;  // drop self-loops
+    // localize stay on one exchange code path. Self-loops are dropped
+    // first; then half-edge k goes to the owner of endpoints[k], paired
+    // with the edge's other endpoint, endpoints[k ^ 1].
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < endpoints.size(); k += 2) {
+      if (endpoints[k] == endpoints[k + 1]) continue;
+      for (std::size_t j = 0; j < 2; ++j) {
+        endpoints[kept + j] = endpoints[k + j];
+        owners[kept + j] = owners[k + j];
       }
-      ++send_offsets[static_cast<std::size_t>(
-          owners[static_cast<std::size_t>(2 * e)].proc) + 1];
-      ++send_offsets[static_cast<std::size_t>(
-          owners[static_cast<std::size_t>(2 * e + 1)].proc) + 1];
+      kept += 2;
     }
-    for (std::size_t r = 0; r < np; ++r) {
-      send_offsets[r + 1] += send_offsets[r];
-    }
-    std::vector<HalfEdge> send_buf(
-        static_cast<std::size_t>(send_offsets[np]));
-    std::vector<i64> cursor(send_offsets.begin(), send_offsets.end() - 1);
-    for (i64 e = 0; e < local_edges; ++e) {
-      const i64 u = edge_u_[static_cast<std::size_t>(e)];
-      const i64 v = edge_v_[static_cast<std::size_t>(e)];
-      if (u == v) continue;
-      const auto ou = static_cast<std::size_t>(
-          owners[static_cast<std::size_t>(2 * e)].proc);
-      const auto ov = static_cast<std::size_t>(
-          owners[static_cast<std::size_t>(2 * e + 1)].proc);
-      send_buf[static_cast<std::size_t>(cursor[ou]++)] = HalfEdge{u, v};
-      send_buf[static_cast<std::size_t>(cursor[ov]++)] = HalfEdge{v, u};
-    }
+    std::vector<HalfEdge> send_buf(kept);
+    std::vector<i64> send_offsets;
+    rt::group_by_dest(
+        p.nprocs(), kept, [&](std::size_t k) { return owners[k].proc; },
+        send_offsets, [&](std::size_t k, std::size_t slot) {
+          send_buf[slot] = HalfEdge{endpoints[k], endpoints[k ^ 1]};
+        });
     std::vector<HalfEdge> incoming;
     std::vector<i64> recv_offsets;
     std::vector<i64> counts_scratch;

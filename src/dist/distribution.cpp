@@ -48,25 +48,23 @@ std::shared_ptr<const Distribution> Distribution::irregular_from_map(
   auto d = std::shared_ptr<Distribution>(new Distribution());
   d->my_rank_ = p.rank();
   {
-    // Route each global to its assigned owner in one exchange; a counting
-    // pass sizes each owner's list exactly before the fill.
-    const auto np = static_cast<std::size_t>(p.nprocs());
-    std::vector<std::vector<i64>> outgoing(np);
-    {
-      std::vector<std::size_t> counts(np, 0);
-      for (const i64 owner : map_slice) {
-        CHAOS_CHECK(owner >= 0 && owner < p.nprocs(),
-                    "irregular_from_map: map names process " +
-                        std::to_string(owner) + " outside the machine");
-        ++counts[static_cast<std::size_t>(owner)];
-      }
-      for (std::size_t r = 0; r < np; ++r) outgoing[r].reserve(counts[r]);
-    }
-    for (std::size_t l = 0; l < map_slice.size(); ++l) {
-      outgoing[static_cast<std::size_t>(map_slice[l])].push_back(
-          map_dist.my_global_of(static_cast<i64>(l)));
-    }
-    const auto incoming = rt::alltoallv(p, outgoing);
+    // Route each global to its assigned owner in one exchange.
+    std::vector<i64> outgoing(map_slice.size()), send_offsets;
+    rt::group_by_dest(
+        p.nprocs(), map_slice.size(),
+        [&](std::size_t l) {
+          const i64 owner = map_slice[l];
+          CHAOS_CHECK(owner >= 0 && owner < p.nprocs(),
+                      "irregular_from_map: map names process " +
+                          std::to_string(owner) + " outside the machine");
+          return owner;
+        },
+        send_offsets,
+        [&](std::size_t l, std::size_t slot) {
+          outgoing[slot] = map_dist.my_global_of(static_cast<i64>(l));
+        });
+    std::vector<i64> incoming, block_offsets;  // one block per source rank
+    rt::alltoallv<i64>(p, outgoing, send_offsets, incoming, block_offsets);
 
     // Every block arrives ascending (a distribution's local order is), and
     // the blocks are disjoint, so a P-way merge lays out my globals in
@@ -74,33 +72,32 @@ std::shared_ptr<const Distribution> Distribution::irregular_from_map(
     // everything below the next-smallest head, so blocks that cover
     // disjoint ranges (a BLOCK map's) each go in one copy. The blocks are
     // freed before the translation table is built.
-    std::size_t total = 0;
-    for (const auto& block : incoming) total += block.size();
-    d->my_globals_.reserve(total);
+    d->my_globals_.reserve(incoming.size());
     struct Head {
       i64 g;            ///< the block's smallest unmerged global
-      std::size_t src;  ///< the block
-      std::size_t at;   ///< position of g in it
+      std::size_t at;   ///< position of g in incoming
+      std::size_t end;  ///< end of g's block in incoming
     };
     const auto later = [](const Head& a, const Head& b) { return a.g > b.g; };
     std::vector<Head> heads;  // min-heap on g
-    for (std::size_t s = 0; s < np; ++s) {
-      if (!incoming[s].empty()) heads.push_back(Head{incoming[s][0], s, 0});
+    for (std::size_t s = 0; s + 1 < block_offsets.size(); ++s) {
+      const auto at = static_cast<std::size_t>(block_offsets[s]);
+      const auto end = static_cast<std::size_t>(block_offsets[s + 1]);
+      if (at < end) heads.push_back(Head{incoming[at], at, end});
     }
     std::make_heap(heads.begin(), heads.end(), later);
     while (!heads.empty()) {
       std::pop_heap(heads.begin(), heads.end(), later);
       const Head h = heads.back();
       heads.pop_back();
-      const auto& block = incoming[h.src];
       const i64 limit =
           heads.empty() ? std::numeric_limits<i64>::max() : heads.front().g;
-      std::size_t end = h.at + 1;
-      while (end < block.size() && block[end] < limit) ++end;
-      d->my_globals_.insert(d->my_globals_.end(), block.begin() + h.at,
-                            block.begin() + end);
-      if (end < block.size()) {
-        heads.push_back(Head{block[end], h.src, end});
+      std::size_t run = h.at + 1;
+      while (run < h.end && incoming[run] < limit) ++run;
+      d->my_globals_.insert(d->my_globals_.end(), incoming.begin() + h.at,
+                            incoming.begin() + run);
+      if (run < h.end) {
+        heads.push_back(Head{incoming[run], run, h.end});
         std::push_heap(heads.begin(), heads.end(), later);
       }
     }

@@ -121,23 +121,22 @@ std::shared_ptr<const TranslationTable> TranslationTable::build(
   tt->proc_.assign(static_cast<std::size_t>(my_pages * page_size), -1);
   tt->local_.assign(static_cast<std::size_t>(my_pages * page_size), -1);
 
-  // A counting pass sizes each home's claim list exactly before the fill.
-  const auto np = static_cast<std::size_t>(p.nprocs());
-  std::vector<std::vector<Claim>> outgoing(np);
-  {
-    std::vector<std::size_t> counts(np, 0);
-    for (const i64 g : mine) {
-      ++counts[static_cast<std::size_t>(tt->place_of(g).home)];
-    }
-    for (std::size_t r = 0; r < np; ++r) outgoing[r].reserve(counts[r]);
-  }
-  for (std::size_t l = 0; l < mine.size(); ++l) {
-    outgoing[static_cast<std::size_t>(tt->place_of(mine[l]).home)].push_back(
-        Claim{mine[l], static_cast<i64>(l)});
-  }
-  const auto incoming = rt::alltoallv(p, outgoing);
+  std::vector<Claim> outgoing(mine.size());
+  std::vector<i64> send_offsets;
+  rt::group_by_dest(
+      p.nprocs(), mine.size(),
+      [&](std::size_t l) { return tt->place_of(mine[l]).home; },
+      send_offsets,
+      [&](std::size_t l, std::size_t slot) {
+        outgoing[slot] = Claim{mine[l], static_cast<i64>(l)};
+      });
+  std::vector<Claim> incoming;
+  std::vector<i64> incoming_offsets;
+  rt::alltoallv<Claim>(p, outgoing, send_offsets, incoming, incoming_offsets);
   for (int s = 0; s < p.nprocs(); ++s) {
-    for (const auto& c : incoming[static_cast<std::size_t>(s)]) {
+    for (i64 k = incoming_offsets[static_cast<std::size_t>(s)];
+         k < incoming_offsets[static_cast<std::size_t>(s) + 1]; ++k) {
+      const Claim& c = incoming[static_cast<std::size_t>(k)];
       const std::size_t slot = tt->place_of(c.g).slot;
       CHAOS_CHECK(tt->proc_[slot] == -1,
                   "translation table: global " + std::to_string(c.g) +

@@ -24,39 +24,34 @@ PartitionQuality evaluate_partition(rt::Process& p, const GeoColView& g,
                      neighbor_ids.end());
   const auto entries = g.vdist->locate(p, neighbor_ids);
 
-  std::vector<std::vector<i64>> asked(static_cast<std::size_t>(p.nprocs()));
-  for (std::size_t k = 0; k < neighbor_ids.size(); ++k) {
-    asked[static_cast<std::size_t>(entries[k].proc)].push_back(
-        entries[k].local);
+  // Ask each owner for its vertices' parts; slot_of[k] is neighbor k's
+  // place in the request, and so in the reply.
+  std::vector<i64> asked(neighbor_ids.size()), asked_offsets;
+  std::vector<std::size_t> slot_of(neighbor_ids.size());
+  rt::group_by_dest(
+      p.nprocs(), neighbor_ids.size(),
+      [&](std::size_t k) { return entries[k].proc; }, asked_offsets,
+      [&](std::size_t k, std::size_t slot) {
+        asked[slot] = entries[k].local;
+        slot_of[k] = slot;
+      });
+  std::vector<i64> to_answer, to_answer_offsets;
+  rt::alltoallv<i64>(p, asked, asked_offsets, to_answer, to_answer_offsets);
+  // Answer in place: each query becomes its vertex's part, and the replies
+  // go back under the prefix the queries arrived with.
+  for (i64& l : to_answer) {
+    CHAOS_CHECK(l >= 0 && l < g.nlocal(), "evaluate_partition: bad query");
+    l = parts[static_cast<std::size_t>(l)];
   }
-  auto to_answer = rt::alltoallv(p, asked);
-  std::vector<std::vector<i64>> answers(static_cast<std::size_t>(p.nprocs()));
-  for (int r = 0; r < p.nprocs(); ++r) {
-    auto& reply = answers[static_cast<std::size_t>(r)];
-    reply.reserve(to_answer[static_cast<std::size_t>(r)].size());
-    for (i64 l : to_answer[static_cast<std::size_t>(r)]) {
-      CHAOS_CHECK(l >= 0 && l < g.nlocal(), "evaluate_partition: bad query");
-      reply.push_back(parts[static_cast<std::size_t>(l)]);
-    }
-  }
-  auto got = rt::alltoallv(p, answers);
+  std::vector<i64> got, got_offsets;
+  rt::alltoallv<i64>(p, to_answer, to_answer_offsets, got, got_offsets);
 
-  // part_of_neighbor[k] matches neighbor_ids[k].
-  std::vector<i64> part_of_neighbor(neighbor_ids.size());
-  {
-    std::vector<std::size_t> cursor(static_cast<std::size_t>(p.nprocs()), 0);
-    for (std::size_t k = 0; k < neighbor_ids.size(); ++k) {
-      const auto owner = static_cast<std::size_t>(entries[k].proc);
-      part_of_neighbor[k] = got[owner][cursor[owner]++];
-    }
-  }
   auto lookup_part = [&](i64 global) {
     const auto it = std::lower_bound(neighbor_ids.begin(), neighbor_ids.end(),
                                      global);
     CHAOS_CHECK(it != neighbor_ids.end() && *it == global,
                 "evaluate_partition: neighbor lookup miss");
-    return part_of_neighbor[static_cast<std::size_t>(
-        it - neighbor_ids.begin())];
+    return got[slot_of[static_cast<std::size_t>(it - neighbor_ids.begin())]];
   };
 
   PartitionQuality q;

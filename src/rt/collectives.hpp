@@ -24,6 +24,7 @@
 #include <numeric>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "rt/machine.hpp"
@@ -241,58 +242,133 @@ std::vector<T> allgatherv(Process& p, std::span<const T> local,
   return out;
 }
 
-/// Personalized all-to-all: @p send[d] goes to rank d; the result's slot [s]
-/// holds what rank s sent here. The workhorse of every CHAOS exchange.
+namespace detail {
+/// Blackboard view one rank publishes during a CSR exchange: its whole flat
+/// send buffer plus the P+1 prefix that slices it by destination.
+/// Trivially copyable, 16 bytes — deposited inline into the rank's slot.
 template <typename T>
-std::vector<std::vector<T>> alltoallv(Process& p,
-                                      const std::vector<std::vector<T>>& send) {
+struct FlatSendView {
+  const T* data;
+  const i64* offsets;
+};
+
+/// Copies the segment each peer published for this rank to
+/// recv[recv_offsets[s], recv_offsets[s+1]); peers must agree pairwise on
+/// segment lengths (checked).
+template <typename T>
+void receive_segments(Process& p, u64 seq, T* recv,
+                      std::span<const i64> recv_offsets) {
+  const auto me = static_cast<std::size_t>(p.rank());
+  for (int s = 0; s < p.nprocs(); ++s) {
+    FlatSendView<T> sv;
+    std::memcpy(&sv, p.machine().bb_slot(s, seq), sizeof(sv));
+    const auto u = static_cast<std::size_t>(s);
+    const i64 n = sv.offsets[me + 1] - sv.offsets[me];
+    CHAOS_CHECK(n == recv_offsets[u + 1] - recv_offsets[u],
+                "alltoallv: peer segment length disagrees with my receive "
+                "prefix");
+    if (n > 0) {
+      std::memcpy(recv + recv_offsets[u], sv.data + sv.offsets[me],
+                  static_cast<std::size_t>(n) * sizeof(T));
+    }
+  }
+}
+
+/// The BSP superstep charge of a personalized exchange, shared by both CSR
+/// collectives: clocks were equalized by the fused pass; now pay per
+/// nonempty off-process segment each way, every send before any receive.
+template <typename T>
+void charge_alltoallv(Process& p, std::span<const i64> send_offsets,
+                      std::span<const i64> recv_offsets) {
+  const CostParams& c = p.params();
+  const auto bytes = [&](std::span<const i64> offsets, int r) {
+    const auto u = static_cast<std::size_t>(r);
+    return (offsets[u + 1] - offsets[u]) * static_cast<i64>(sizeof(T));
+  };
+  i64 off_process_bytes = 0;
+  for (int d = 0; d < p.nprocs(); ++d) {
+    const i64 b = bytes(send_offsets, d);
+    if (d == p.rank() || b <= 0) continue;
+    p.clock().charge(c.send_us(b));
+    p.stats().note_send(b);
+    off_process_bytes += b;
+  }
+  for (int s = 0; s < p.nprocs(); ++s) {
+    const i64 b = bytes(recv_offsets, s);
+    if (s == p.rank() || b <= 0) continue;
+    p.clock().charge(c.recv_us(b));
+    p.stats().note_recv(b);
+  }
+  p.stats().note_alltoallv(off_process_bytes);
+}
+}  // namespace detail
+
+/// Personalized all-to-all over CSR buffers, for receivers that do not know
+/// their prefix yet: send[send_offsets[d], send_offsets[d+1]) goes to rank
+/// d, and what rank s sent lands at recv[recv_offsets[s], recv_offsets[s+1]).
+/// The send prefix (nprocs()+1 entries, non-decreasing, within @p send) is
+/// checked before anything is published. Receivers size @p recv and
+/// @p recv_offsets from the peers' published prefixes, in place, so a warm
+/// call of the same shape allocates nothing. Two phases, no counts round.
+template <typename T>
+void alltoallv(Process& p, std::span<const T> send,
+               std::span<const i64> send_offsets, std::vector<T>& recv,
+               std::vector<i64>& recv_offsets) {
   static_assert(std::is_trivially_copyable_v<T>);
-  CHAOS_CHECK(static_cast<int>(send.size()) == p.nprocs(),
-              "alltoallv: send buffer list must have one entry per rank");
+  const auto np = static_cast<std::size_t>(p.nprocs());
+  CHAOS_CHECK(send_offsets.size() == np + 1 && send_offsets[0] >= 0 &&
+                  send_offsets[np] <= static_cast<i64>(send.size()) &&
+                  std::is_sorted(send_offsets.begin(), send_offsets.end()),
+              "alltoallv: send prefix must be nprocs+1 non-decreasing "
+              "offsets within the send buffer");
   ++p.stats().collectives;
   Machine& m = p.machine();
   const u64 seq = p.next_bb_seq();
-  detail::bb_publish_ptr(m, p.rank(), seq, &send);
+  m.inject_point(FaultSite::BlackboardPublish, p.rank());
+  const detail::FlatSendView<T> view{send.data(), send_offsets.data()};
+  std::memcpy(m.bb_slot(p.rank(), seq), &view, sizeof(view));
   detail::fused_sync(p, 0.0);
-  std::vector<std::vector<T>> out(static_cast<std::size_t>(p.nprocs()));
-  for (int s = 0; s < p.nprocs(); ++s) {
-    const auto& sb = *static_cast<const std::vector<std::vector<T>>*>(
-        detail::bb_fetch_ptr(m, s, seq));
-    out[static_cast<std::size_t>(s)] = sb[static_cast<std::size_t>(p.rank())];
+  const auto me = static_cast<std::size_t>(p.rank());
+  recv_offsets.assign(np + 1, 0);
+  for (std::size_t s = 0; s < np; ++s) {
+    detail::FlatSendView<T> sv;
+    std::memcpy(&sv, m.bb_slot(static_cast<int>(s), seq), sizeof(sv));
+    recv_offsets[s + 1] =
+        recv_offsets[s] + (sv.offsets[me + 1] - sv.offsets[me]);
   }
+  recv.resize(static_cast<std::size_t>(recv_offsets[np]));
+  detail::receive_segments<T>(p, seq, recv.data(), recv_offsets);
   p.barrier_sync_only();
+  detail::charge_alltoallv<T>(p, send_offsets, recv_offsets);
+}
 
-  // BSP superstep charge: clocks were equalized by the fused pass; now pay
-  // per nonempty message each way.
-  const CostParams& c = p.params();
-  i64 off_process_bytes = 0;
-  for (int d = 0; d < p.nprocs(); ++d) {
-    if (d == p.rank()) continue;
-    const i64 bytes =
-        static_cast<i64>(send[static_cast<std::size_t>(d)].size() * sizeof(T));
-    if (bytes > 0 || !send[static_cast<std::size_t>(d)].empty()) {
-      p.clock().charge(c.send_us(bytes));
-      p.stats().note_send(bytes);
-      off_process_bytes += bytes;
-    }
+/// Groups @p n items by destination rank for a CSR exchange, stably:
+/// @p dest(i) in [0, nprocs) names item i's rank, the counts become
+/// @p offsets (nprocs+1 entries, resized in place), then @p place(i, slot)
+/// runs for each item in index order with its slot in the destination-
+/// ordered buffer. Allocates nothing beyond @p offsets.
+template <typename Dest, typename Place>
+void group_by_dest(int nprocs, std::size_t n, Dest&& dest,
+                   std::vector<i64>& offsets, Place&& place) {
+  const auto np = static_cast<std::size_t>(nprocs);
+  offsets.assign(np + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    ++offsets[static_cast<std::size_t>(dest(i)) + 1];
   }
-  for (int s = 0; s < p.nprocs(); ++s) {
-    if (s == p.rank()) continue;
-    const i64 bytes =
-        static_cast<i64>(out[static_cast<std::size_t>(s)].size() * sizeof(T));
-    if (bytes > 0) {
-      p.clock().charge(c.recv_us(bytes));
-      p.stats().note_recv(bytes);
-    }
+  // offsets[d + 1] turns into d's start, serves as its fill cursor, and
+  // ends at d's end — the prefix the exchange reads.
+  i64 sum = 0;
+  for (std::size_t d = 1; d <= np; ++d) sum += std::exchange(offsets[d], sum);
+  for (std::size_t i = 0; i < n; ++i) {
+    place(i, static_cast<std::size_t>(
+                 offsets[static_cast<std::size_t>(dest(i)) + 1]++));
   }
-  p.stats().note_alltoallv(off_process_bytes);
-  return out;
 }
 
 /// Fixed-size personalized exchange: @p send holds exactly one element per
 /// destination rank, @p recv receives one element per source rank. Allocates
-/// nothing — both buffers are caller-provided. Used to exchange CSR segment
-/// counts before an alltoallv_flat.
+/// nothing — both buffers are caller-provided. exchange_csr's counts round
+/// before its alltoallv_flat; alltoallv reads the peers' prefixes instead.
 template <typename T>
 void alltoall(Process& p, std::span<const T> send, std::span<T> recv) {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -313,9 +389,9 @@ void alltoall(Process& p, std::span<const T> send, std::span<T> recv) {
         static_cast<const T*>(detail::bb_fetch_ptr(m, s, seq))[p.rank()];
   }
   p.barrier_sync_only();
-  // Traffic accounting matches alltoallv: one message of one T each way per
-  // off-process peer, so the counts round a flat exchange needs stays
-  // visible to MessageStats.
+  // Traffic accounting matches the CSR exchanges': one message of one T
+  // each way per off-process peer, so the counts round a flat exchange
+  // needs stays visible to MessageStats.
   for (int r = 0; r < p.nprocs(); ++r) {
     if (r == p.rank()) continue;
     p.stats().note_send(static_cast<i64>(sizeof(T)));
@@ -323,25 +399,14 @@ void alltoall(Process& p, std::span<const T> send, std::span<T> recv) {
   }
 }
 
-namespace detail {
-/// Blackboard view one rank publishes during an alltoallv_flat: its whole
-/// flat send buffer plus the P+1 prefix that slices it by destination.
-/// Trivially copyable, 16 bytes — deposited inline into the rank's slot.
-template <typename T>
-struct FlatSendView {
-  const T* data;
-  const i64* offsets;
-};
-}  // namespace detail
-
 /// Flat personalized all-to-all over CSR-sliced buffers: the segment
 /// send[send_offsets[d], send_offsets[d+1]) goes to rank d, and the segment
 /// from source s lands at recv[recv_offsets[s], recv_offsets[s+1]). Both
 /// prefix arrays have nprocs()+1 entries; peers must agree pairwise on
-/// segment lengths (checked). The executor's hot path: unlike alltoallv this
-/// performs ZERO heap allocations — pack buffers, receive buffers, and both
-/// prefixes are caller-owned, so a schedule-driven gather/scatter can run
-/// allocation-free every timestep.
+/// segment lengths (checked). For receivers that already know their prefix
+/// (the executor, the dereference's answer round, exchange_csr's payload
+/// round): every buffer is caller-owned, so the executor's schedule-driven
+/// gather/scatter performs ZERO heap allocations every timestep.
 template <typename T>
 void alltoallv_flat(Process& p, std::span<const T> send,
                     std::span<const i64> send_offsets, std::span<T> recv,
@@ -361,47 +426,9 @@ void alltoallv_flat(Process& p, std::span<const T> send,
   static_assert(sizeof(view) <= Machine::kBlackboardBytes);
   std::memcpy(m.bb_slot(p.rank(), seq), &view, sizeof(view));
   detail::fused_sync(p, 0.0);
-  const auto me = static_cast<std::size_t>(p.rank());
-  for (int s = 0; s < p.nprocs(); ++s) {
-    detail::FlatSendView<T> sv;
-    std::memcpy(&sv, m.bb_slot(s, seq), sizeof(sv));
-    const i64 lo = sv.offsets[me];
-    const i64 n = sv.offsets[me + 1] - lo;
-    CHAOS_CHECK(n == recv_offsets[static_cast<std::size_t>(s) + 1] -
-                         recv_offsets[static_cast<std::size_t>(s)],
-                "alltoallv_flat: peer segment length disagrees with my "
-                "receive prefix");
-    if (n > 0) {
-      std::memcpy(recv.data() + recv_offsets[static_cast<std::size_t>(s)],
-                  sv.data + lo, static_cast<std::size_t>(n) * sizeof(T));
-    }
-  }
+  detail::receive_segments<T>(p, seq, recv.data(), recv_offsets);
   p.barrier_sync_only();
-
-  const CostParams& c = p.params();
-  i64 off_process_bytes = 0;
-  for (int d = 0; d < p.nprocs(); ++d) {
-    if (d == p.rank()) continue;
-    const i64 bytes = (send_offsets[static_cast<std::size_t>(d) + 1] -
-                       send_offsets[static_cast<std::size_t>(d)]) *
-                      static_cast<i64>(sizeof(T));
-    if (bytes > 0) {
-      p.clock().charge(c.send_us(bytes));
-      p.stats().note_send(bytes);
-      off_process_bytes += bytes;
-    }
-  }
-  for (int s = 0; s < p.nprocs(); ++s) {
-    if (s == p.rank()) continue;
-    const i64 bytes = (recv_offsets[static_cast<std::size_t>(s) + 1] -
-                       recv_offsets[static_cast<std::size_t>(s)]) *
-                      static_cast<i64>(sizeof(T));
-    if (bytes > 0) {
-      p.clock().charge(c.recv_us(bytes));
-      p.stats().note_recv(bytes);
-    }
-  }
-  p.stats().note_alltoallv(off_process_bytes);
+  detail::charge_alltoallv<T>(p, send_offsets, recv_offsets);
 }
 
 /// Gather variable-length blocks to @p root (others receive an empty vector;

@@ -19,10 +19,10 @@ struct MessageStats {
   i64 bytes_received = 0;
   i64 collectives = 0;
   i64 barriers = 0;
-  /// Personalized all-to-all exchanges (nested or flat) and the off-process
-  /// payload they carried in the send direction. Lets BENCH files report the
-  /// modeled volume of one executor sweep without re-deriving it from the
-  /// schedule.
+  /// Personalized all-to-all exchanges (alltoallv or alltoallv_flat) and
+  /// the off-process payload they carried in the send direction. Lets BENCH
+  /// files report the modeled volume of one executor sweep without
+  /// re-deriving it from the schedule.
   i64 alltoallv_calls = 0;
   i64 alltoallv_bytes = 0;
   /// Inspector translation-cache outcome counters (dist::TranslationCache

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -109,6 +110,85 @@ TEST_P(RemapSweep, PlanReusableAcrossAlignedArrays) {
       EXPECT_DOUBLE_EQ(fy[static_cast<std::size_t>(g)], -static_cast<f64>(g));
     }
   });
+}
+
+TEST_P(RemapSweep, PlanIsCsrByPeer) {
+  const auto [n, P] = GetParam();
+  rt::Machine::run(P, [&, n = n](rt::Process& p) {
+    auto from = dist::Distribution::block(p, n);
+    auto to = scrambled_irregular(p, n, 7);
+    const auto plan = dist::build_remap(p, *from, *to);
+    const auto np = static_cast<std::size_t>(P);
+    ASSERT_EQ(plan.send_offsets.size(), np + 1);
+    ASSERT_EQ(plan.recv_offsets.size(), np + 1);
+    EXPECT_EQ(plan.send_offsets.front(), 0);
+    EXPECT_EQ(plan.recv_offsets.front(), 0);
+    EXPECT_EQ(plan.send_offsets.back(),
+              static_cast<i64>(plan.send_pos.size()));
+    EXPECT_EQ(plan.recv_offsets.back(),
+              static_cast<i64>(plan.place_pos.size()));
+    EXPECT_EQ(static_cast<i64>(plan.send_pos.size()), plan.nlocal_from);
+    EXPECT_EQ(static_cast<i64>(plan.place_pos.size()), plan.nlocal_to);
+    for (std::size_t d = 0; d < np; ++d) {
+      for (i64 k = plan.send_offsets[d] + 1; k < plan.send_offsets[d + 1];
+           ++k) {
+        EXPECT_LT(plan.send_pos[static_cast<std::size_t>(k) - 1],
+                  plan.send_pos[static_cast<std::size_t>(k)]);
+      }
+    }
+  });
+}
+
+TEST(Remap, AlteredReceivePrefixIsRejectedAfterTheExchange) {
+  // Rank 2's plan expects one element more from rank 0 and one fewer from
+  // rank 1 than they send. The exchange completes on every rank; only rank
+  // 2 then rejects what arrived, and everyone reaches the next collective.
+  rt::Machine::run(4, [](rt::Process& p) {
+    auto from = dist::Distribution::block(p, 100);
+    auto to = dist::Distribution::cyclic(p, 100);
+    auto plan = dist::build_remap(p, *from, *to);
+    dist::DistributedArray<i64> x(p, from);
+    x.fill_by_global([](i64 g) { return g; });
+    if (p.rank() == 2) {
+      ++plan.recv_offsets[1];
+      try {
+        (void)dist::apply_remap<i64>(p, plan, x.local());
+        ADD_FAILURE() << "the altered prefix was accepted";
+      } catch (const chaos::ChaosError& e) {
+        EXPECT_NE(std::string(e.what()).find("unexpected element count"),
+                  std::string::npos)
+            << e.what();
+      }
+    } else {
+      const auto moved = dist::apply_remap<i64>(p, plan, x.local());
+      for (std::size_t l = 0; l < moved.size(); ++l) {
+        EXPECT_EQ(moved[l], to->global_of(p.rank(), static_cast<i64>(l)));
+      }
+    }
+    EXPECT_EQ(rt::allreduce_sum(p, i64{1}), 4);
+  });
+}
+
+TEST(GroupByDest, IsStableWithinADestination) {
+  // Ranks 1 and 4 receive nothing.
+  const std::vector<int> dest{2, 0, 2, 3, 0, 2, 3, 0, 0, 2};
+  std::vector<i64> offsets;
+  std::vector<std::size_t> grouped(dest.size());
+  rt::group_by_dest(
+      5, dest.size(), [&](std::size_t i) { return dest[i]; }, offsets,
+      [&](std::size_t i, std::size_t slot) { grouped[slot] = i; });
+  EXPECT_EQ(offsets, (std::vector<i64>{0, 4, 4, 8, 10, 10}));
+  EXPECT_EQ(grouped, (std::vector<std::size_t>{1, 4, 7, 8, 0, 2, 5, 9, 3, 6}));
+}
+
+TEST(GroupByDest, NoItemsGiveAZeroPrefix) {
+  std::vector<i64> offsets{7, 7};  // stale contents are overwritten
+  int placed = 0;
+  rt::group_by_dest(
+      3, 0, [](std::size_t) { return 0; }, offsets,
+      [&](std::size_t, std::size_t) { ++placed; });
+  EXPECT_EQ(offsets, (std::vector<i64>{0, 0, 0, 0}));
+  EXPECT_EQ(placed, 0);
 }
 
 TEST(Remap, IdentityRemapMovesNothing) {

@@ -2,7 +2,10 @@
 // the BSP clock-synchronization contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "rt/collectives.hpp"
@@ -82,15 +85,27 @@ TEST_P(CollectivesSweep, AllgathervConcatenatesInRankOrder) {
 TEST_P(CollectivesSweep, AlltoallvTransposes) {
   const int P = GetParam();
   rt::Machine::run(P, [&](rt::Process& p) {
-    // send[d] = {rank*100 + d}; so received[s] must be {s*100 + rank}.
-    std::vector<std::vector<i64>> send(static_cast<std::size_t>(P));
+    // Rank r sends (r + d) % 3 copies of 100*r + d to rank d, so the segment
+    // from s must hold (s + rank) % 3 copies of 100*s + rank.
+    std::vector<i64> send;
+    std::vector<i64> offsets{0};
     for (int d = 0; d < P; ++d) {
-      send[static_cast<std::size_t>(d)] = {i64{100} * p.rank() + d};
+      send.insert(send.end(), static_cast<std::size_t>((p.rank() + d) % 3),
+                  i64{100} * p.rank() + d);
+      offsets.push_back(static_cast<i64>(send.size()));
     }
-    auto recv = rt::alltoallv(p, send);
+    std::vector<i64> recv, recv_offsets;
+    rt::alltoallv<i64>(p, send, offsets, recv, recv_offsets);
+    ASSERT_EQ(recv_offsets.size(), static_cast<std::size_t>(P) + 1);
+    EXPECT_EQ(recv_offsets[0], 0);
+    EXPECT_EQ(static_cast<i64>(recv.size()), recv_offsets.back());
     for (int s = 0; s < P; ++s) {
-      ASSERT_EQ(recv[static_cast<std::size_t>(s)].size(), 1u);
-      EXPECT_EQ(recv[static_cast<std::size_t>(s)][0], i64{100} * s + p.rank());
+      const auto lo = recv_offsets[static_cast<std::size_t>(s)];
+      const auto hi = recv_offsets[static_cast<std::size_t>(s) + 1];
+      ASSERT_EQ(hi - lo, (s + p.rank()) % 3);
+      for (i64 k = lo; k < hi; ++k) {
+        EXPECT_EQ(recv[static_cast<std::size_t>(k)], i64{100} * s + p.rank());
+      }
     }
   });
 }
@@ -99,15 +114,50 @@ TEST_P(CollectivesSweep, AlltoallvEmptyLanesAreFine) {
   const int P = GetParam();
   rt::Machine::run(P, [&](rt::Process& p) {
     // Only rank 0 sends, and only to the last rank.
-    std::vector<std::vector<i64>> send(static_cast<std::size_t>(P));
-    if (p.rank() == 0) send[static_cast<std::size_t>(P - 1)] = {5, 6};
-    auto recv = rt::alltoallv(p, send);
-    for (int s = 0; s < P; ++s) {
-      if (p.rank() == P - 1 && s == 0) {
-        EXPECT_EQ(recv[static_cast<std::size_t>(s)], (std::vector<i64>{5, 6}));
-      } else {
-        EXPECT_TRUE(recv[static_cast<std::size_t>(s)].empty());
+    std::vector<i64> send;
+    std::vector<i64> offsets(static_cast<std::size_t>(P) + 1, 0);
+    if (p.rank() == 0) {
+      send = {5, 6};
+      offsets.back() = 2;
+    }
+    std::vector<i64> recv, recv_offsets;
+    rt::alltoallv<i64>(p, send, offsets, recv, recv_offsets);
+    std::vector<i64> want_offsets(static_cast<std::size_t>(P) + 1, 0);
+    if (p.rank() == P - 1) {
+      std::fill(want_offsets.begin() + 1, want_offsets.end(), 2);
+      EXPECT_EQ(recv, (std::vector<i64>{5, 6}));
+    } else {
+      EXPECT_TRUE(recv.empty());
+    }
+    EXPECT_EQ(recv_offsets, want_offsets);
+  });
+}
+
+TEST_P(CollectivesSweep, AlltoallvWarmCallKeepsItsBuffers) {
+  const int P = GetParam();
+  rt::Machine::run(P, [&](rt::Process& p) {
+    // Two calls of the same shape into the same outputs: the second must
+    // land in the buffers the first sized, with the second call's values.
+    std::vector<i64> send(static_cast<std::size_t>(2 * P));
+    std::vector<i64> offsets(static_cast<std::size_t>(P) + 1);
+    for (int d = 0; d <= P; ++d) offsets[static_cast<std::size_t>(d)] = 2 * d;
+    std::vector<i64> recv, recv_offsets;
+    const i64* recv_data = nullptr;
+    const i64* offsets_data = nullptr;
+    for (i64 round = 0; round < 2; ++round) {
+      std::fill(send.begin(), send.end(), 10 * p.rank() + round);
+      rt::alltoallv<i64>(p, send, offsets, recv, recv_offsets);
+      if (round == 0) {
+        recv_data = recv.data();
+        offsets_data = recv_offsets.data();
       }
+    }
+    EXPECT_EQ(recv.data(), recv_data);
+    EXPECT_EQ(recv_offsets.data(), offsets_data);
+    EXPECT_EQ(recv_offsets, offsets);
+    for (int s = 0; s < P; ++s) {
+      EXPECT_EQ(recv[static_cast<std::size_t>(2 * s)], 10 * s + 1);
+      EXPECT_EQ(recv[static_cast<std::size_t>(2 * s + 1)], 10 * s + 1);
     }
   });
 }
@@ -142,19 +192,63 @@ TEST(Collectives, BarrierEqualizesClocks) {
 TEST(Collectives, AlltoallvChargesPerMessage) {
   rt::Machine machine(4);
   machine.run([](rt::Process& p) {
-    std::vector<std::vector<i64>> send(4);
+    // {1, 2, 3} to every other rank, nothing to self.
+    std::vector<i64> send;
+    std::vector<i64> offsets{0};
     for (int d = 0; d < 4; ++d) {
-      if (d != p.rank()) send[static_cast<std::size_t>(d)] = {1, 2, 3};
+      if (d != p.rank()) send.insert(send.end(), {1, 2, 3});
+      offsets.push_back(static_cast<i64>(send.size()));
     }
+    std::vector<i64> recv, recv_offsets;
     const double before = p.clock().now_us();
-    (void)rt::alltoallv(p, send);
+    rt::alltoallv<i64>(p, send, offsets, recv, recv_offsets);
     // Three sends + three receives of 24 bytes each.
     const auto& c = p.params();
     const double expected = 3 * c.send_us(24) + 3 * c.recv_us(24);
     EXPECT_NEAR(p.clock().now_us() - before, expected, 1e-9);
     EXPECT_EQ(p.stats().messages_sent, 3);
     EXPECT_EQ(p.stats().messages_received, 3);
+    EXPECT_EQ(p.stats().alltoallv_calls, 1);
+    EXPECT_EQ(p.stats().alltoallv_bytes, 72);
   });
+}
+
+TEST(Collectives, AlltoallvRejectsABadSendPrefix) {
+  // One rank's send prefix is too short, descends, or reaches past its
+  // buffer. It throws ChaosError before publishing, and its peers, already
+  // waiting in the exchange, are released with MachinePoisoned.
+  constexpr int P = 4;
+  for (const std::string bad : {"short", "descends", "overruns"}) {
+    SCOPED_TRACE(bad);
+    std::atomic<int> poisoned_peers{0};
+    try {
+      rt::Machine::run(P, [&](rt::Process& p) {
+        const std::vector<i64> send(P, 1);
+        std::vector<i64> offsets(P + 1);
+        std::iota(offsets.begin(), offsets.end(), i64{0});
+        if (p.rank() == 1) {
+          if (bad == "short") offsets.pop_back();
+          if (bad == "descends") std::swap(offsets[1], offsets[2]);
+          if (bad == "overruns") offsets[P] = P + 1;
+        }
+        std::vector<i64> recv, recv_offsets;
+        try {
+          rt::alltoallv<i64>(p, send, offsets, recv, recv_offsets);
+        } catch (const chaos::MachinePoisoned&) {
+          ++poisoned_peers;
+          throw;
+        }
+      });
+      ADD_FAILURE() << "the bad prefix was accepted";
+    } catch (const chaos::MachinePoisoned&) {
+      ADD_FAILURE() << "Machine::run reported a released peer, not the cause";
+    } catch (const chaos::ChaosError& e) {
+      EXPECT_NE(std::string(e.what()).find("alltoallv: send prefix"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(poisoned_peers.load(), P - 1);
+  }
 }
 
 TEST(ExchangeCsr, RoundTripsCountsAndPayload) {

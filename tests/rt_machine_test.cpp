@@ -39,14 +39,16 @@ TEST(Machine, VirtualTimeIsDeterministicAcrossRuns) {
   auto run_once = [] {
     rt::Machine machine(4);
     machine.run([](rt::Process& p) {
-      std::vector<std::vector<i64>> send(4);
+      // rank + d + 1 sevens to each rank d.
+      std::vector<i64> offsets(5, 0);
       for (int d = 0; d < 4; ++d) {
-        send[static_cast<std::size_t>(d)].assign(
-            static_cast<std::size_t>(p.rank() + d + 1), 7);
+        offsets[static_cast<std::size_t>(d) + 1] =
+            offsets[static_cast<std::size_t>(d)] + p.rank() + d + 1;
       }
-      auto recv = rt::alltoallv(p, send);
+      const std::vector<i64> send(static_cast<std::size_t>(offsets[4]), 7);
+      std::vector<i64> recv, recv_offsets;
+      rt::alltoallv<i64>(p, send, offsets, recv, recv_offsets);
       rt::barrier(p);
-      (void)recv;
     });
     return machine.max_virtual_time_us();
   };
@@ -117,9 +119,12 @@ TEST(Machine, ThrowingRankReleasesPeersBlockedInAlltoallvFlat) {
 TEST(Machine, BackToBackRunsResetStatsAndClocks) {
   rt::Machine machine(2);
   machine.run([](rt::Process& p) {
-    const std::vector<std::vector<i64>> out(2, {i64{p.rank()}});
-    const auto in = rt::alltoallv<i64>(p, out);
-    EXPECT_EQ(in[static_cast<std::size_t>(1 - p.rank())][0], 1 - p.rank());
+    const std::vector<i64> out(2, p.rank());
+    const std::vector<i64> offsets{0, 1, 2};
+    std::vector<i64> in, in_offsets;
+    rt::alltoallv<i64>(p, out, offsets, in, in_offsets);
+    EXPECT_EQ(in_offsets, offsets);
+    EXPECT_EQ(in[static_cast<std::size_t>(1 - p.rank())], 1 - p.rank());
   });
   EXPECT_EQ(machine.total_stats().messages_sent, 2);
   EXPECT_GT(machine.max_virtual_time_us(), 0.0);
@@ -270,14 +275,12 @@ TEST(Machine, ShrinkNarrowsBarrierAndCollectivesToTheSurvivors) {
     EXPECT_LT(p.rank(), 5);
     // Barrier, reduction, and alltoallv all span exactly the survivors.
     EXPECT_EQ(rt::allreduce_sum(p, i64{p.rank()}), 10);
-    std::vector<std::vector<i64>> out(5);
-    for (int d = 0; d < 5; ++d) out[static_cast<std::size_t>(d)] = {i64{p.rank()}};
-    const auto in = rt::alltoallv<i64>(p, out);
-    ASSERT_EQ(in.size(), 5u);
-    for (int s = 0; s < 5; ++s) {
-      ASSERT_EQ(in[static_cast<std::size_t>(s)].size(), 1u);
-      EXPECT_EQ(in[static_cast<std::size_t>(s)][0], s);
-    }
+    const std::vector<i64> out(5, p.rank());
+    const std::vector<i64> offsets{0, 1, 2, 3, 4, 5};
+    std::vector<i64> in, in_offsets;
+    rt::alltoallv<i64>(p, out, offsets, in, in_offsets);
+    EXPECT_EQ(in_offsets, offsets);
+    EXPECT_EQ(in, (std::vector<i64>{0, 1, 2, 3, 4}));
   });
 
   machine.restore_full_width();
