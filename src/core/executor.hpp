@@ -10,7 +10,8 @@
 // CSR arrays, staging through a reusable ExecutorWorkspace. The ghost buffer
 // layout (source rank ascending, request order within rank) is exactly the
 // flat exchange's receive layout, so a gather needs no unpack copy at all
-// and a scatter needs no pack copy.
+// and a scatter needs no pack copy. Hand-written loops and the bytecode VM
+// gather through one call, into each array's own [owned | ghost] buffer.
 #pragma once
 
 #include <limits>
@@ -86,14 +87,17 @@ inline void check_schedule(const CommSchedule& schedule, i64 nlocal,
 }
 }  // namespace detail
 
-/// Gather, phase 1 of 3 (PACK): validates the schedule and copies my owned
-/// elements that peers requested into the workspace staging buffer, in the
-/// schedule's flat CSR send order. Local memory traffic only; the modeled
-/// charge for the whole gather is applied by gather_unpack so the fused
-/// routine and the split VM ops produce bit-identical clocks.
+/// Collective gather: fills @p ghost (size schedule.nghost) with copies of
+/// the off-process elements the inspector recorded, reading my owned
+/// elements from @p local for peers that requested them. One fused pass:
+/// pack into the workspace staging in the schedule's flat CSR send order,
+/// the flat all-to-all straight into @p ghost (the ghost layout IS the
+/// exchange's receive layout, so there is no unpack copy), then one modeled
+/// charge for the pack reads and the ghost writes.
 template <typename T>
-std::span<T> gather_pack(const CommSchedule& schedule, std::span<const T> local,
-                         std::span<T> ghost, ExecutorWorkspace<T>& ws) {
+void gather_ghosts(rt::Process& p, const CommSchedule& schedule,
+                   std::span<const T> local, std::span<T> ghost,
+                   ExecutorWorkspace<T>& ws) {
   detail::check_schedule(schedule, static_cast<i64>(local.size()),
                          static_cast<i64>(ghost.size()), "gather");
   const std::span<T> stage = ws.staging(schedule);
@@ -103,44 +107,14 @@ std::span<T> gather_pack(const CommSchedule& schedule, std::span<const T> local,
     stage[static_cast<std::size_t>(k)] =
         local[static_cast<std::size_t>(idx[k])];
   }
-  return stage;
-}
-
-/// Gather, phase 2 of 3 (EXCHANGE): the collective flat all-to-all. The
-/// receive side lands directly in @p ghost (the ghost layout IS the
-/// exchange's receive layout), so there is no unpack copy.
-template <typename T>
-void gather_exchange(rt::Process& p, const CommSchedule& schedule,
-                     std::span<const T> stage, std::span<T> ghost) {
   rt::alltoallv_flat<T>(p, stage, schedule.send_offsets, ghost,
                         schedule.recv_offsets);
+  p.clock().charge_ops(packed + schedule.nghost, p.params().mem_us_per_word);
 }
 
-/// Gather, phase 3 of 3 (UNPACK): charges the gather's modeled memory
-/// traffic (pack reads + ghost writes). No data motion — see gather_exchange.
-inline void gather_unpack(rt::Process& p, const CommSchedule& schedule) {
-  p.clock().charge_ops(schedule.total_send() + schedule.nghost,
-                       p.params().mem_us_per_word);
-}
-
-/// Collective gather: fills @p ghost (size schedule.nghost) with copies of
-/// the off-process elements the inspector recorded, reading my owned
-/// elements from @p local for peers that requested them. Fused pack →
-/// exchange pass; composed from the three split phases above so the hand
-/// pipelines and the bytecode VM's PACK/EXCHANGE/UNPACK ops share one
-/// implementation (and therefore one modeled-charge sequence).
-template <typename T>
-void gather_ghosts(rt::Process& p, const CommSchedule& schedule,
-                   std::span<const T> local, std::span<T> ghost,
-                   ExecutorWorkspace<T>& ws) {
-  const std::span<T> stage = gather_pack<T>(schedule, local, ghost, ws);
-  gather_exchange<T>(p, schedule, stage, ghost);
-  gather_unpack(p, schedule);
-}
-
-/// Convenience overload operating on a DistributedArray: fills the ghost
-/// tail of its [owned | ghost] buffer in place, resizing it to fit the
-/// schedule.
+/// Gather into a DistributedArray: fills the ghost tail of its
+/// [owned | ghost] buffer in place, resizing it to fit the schedule. The
+/// hand-written loops and the bytecode VM's GATHER op both call this.
 template <typename T>
 void gather_ghosts(rt::Process& p, const CommSchedule& schedule,
                    dist::DistributedArray<T>& a, ExecutorWorkspace<T>& ws) {

@@ -44,10 +44,10 @@ struct StackInstr {
 /// inspector resolves it to storage pointers and a localized-reference slice
 /// when the plan is built.
 struct OperandSym {
-  int group = 0;          ///< 0: indirection batch, 1: direct (iteration space)
-  int batch = -1;         ///< index into ForallMeta::ind_names (group 0)
+  int group = 0;          ///< 0: data batch, 1: direct (iteration space)
+  int batch = -1;         ///< group 0: index into ind_names, or the identity
+                          ///< batch ind_names.size()
   std::string array;
-  int ghost_slot = -1;    ///< index into read_data (group 0) / read_direct (1)
 };
 
 /// A scalar reference (PARAMETER or DO variable), recorded at its first
@@ -74,7 +74,7 @@ struct BodySym {
 /// Everything the plan build needs from a Forall AST node, computed once.
 /// The orders of the name lists are semantic contracts, not conveniences:
 ///   * ind_names: first-occurrence order (batch indices, remap order);
-///   * read_data / read_direct: sorted (ghost-slot and gather order);
+///   * read_data / read_direct: sorted (read-slot and gather order);
 ///   * data_arrays / direct_arrays: sorted (anchor-distribution checks);
 ///   * guard_arrays / written: sorted (reuse-guard DADs, note_write order).
 struct ForallMeta {
@@ -91,10 +91,17 @@ struct ForallMeta {
   int max_stack = 0;
 
   std::vector<std::string> ind_names;
+  /// Set when an array is read both as a(i) and through indirection. That
+  /// array is aligned with the iteration space and the data distribution,
+  /// so the two are one DAD, and every direct read goes through one more
+  /// data batch, index ind_names.size(): this rank's iteration ids. Every
+  /// read array then has one schedule and one ghost tail: read_data lists
+  /// them all and read_direct is empty.
+  bool identity_batch = false;
   std::vector<std::string> read_data;
   std::vector<std::string> read_direct;
-  std::vector<std::string> data_arrays;    ///< read_data + indirect targets
-  std::vector<std::string> direct_arrays;  ///< read_direct + direct targets
+  std::vector<std::string> data_arrays;    ///< read a(ind(i)) + those targets
+  std::vector<std::string> direct_arrays;  ///< read a(i) + those targets
   std::vector<std::string> guard_arrays;   ///< every referenced data array
   std::vector<std::string> written;        ///< unique target arrays
 
@@ -131,9 +138,8 @@ enum class PlanOp : u8 {
   Localize,          ///< a: forall — build schedules, resolve slots
   StorePlan,         ///< a: forall — record plan under the probe-time guard
   ExecBegin,         ///< a: forall — open the executor clock section
-  Pack,              ///< a: forall, b: group (0 data / 1 direct), c: read slot
-  Exchange,          ///< a, b, c as Pack — the collective all-to-all
-  Unpack,            ///< a, b, c as Pack — modeled unpack charge
+  Gather,            ///< a: forall, b: group (0 data / 1 direct), c: read
+                     ///< slot — fill the read array's ghost tail (collective)
   Compute,           ///< a: forall — run the body sweep, charge the model
   FoldScatter,       ///< a: forall, c: accumulator slot
   ScatterAssign,     ///< a: forall, c: assign slot

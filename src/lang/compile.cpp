@@ -70,13 +70,8 @@ struct ExprScan {
 /// stack depth, which never exceeds the expression's tree height.
 class SymbolicCompiler {
  public:
-  SymbolicCompiler(ForallMeta& meta, const std::map<std::string, int>& batch_of,
-                   const std::map<std::string, int>& ghost_data_slot,
-                   const std::map<std::string, int>& ghost_direct_slot)
-      : meta_(meta),
-        batch_of_(batch_of),
-        ghost_data_slot_(ghost_data_slot),
-        ghost_direct_slot_(ghost_direct_slot) {}
+  SymbolicCompiler(ForallMeta& meta, const std::map<std::string, int>& batch_of)
+      : meta_(meta), batch_of_(batch_of) {}
 
   int compile(const Expr& e, std::vector<StackInstr>& out) {
     if (const auto* num = std::get_if<Expr::Num>(&e.node)) {
@@ -105,13 +100,13 @@ class SymbolicCompiler {
       }
       OperandSym spec;
       spec.array = a->array;
-      if (a->index.direct) {
+      if (a->index.direct && !meta_.identity_batch) {
         spec.group = 1;
-        spec.ghost_slot = ghost_direct_slot_.at(a->array);
       } else {
         spec.group = 0;
-        spec.batch = batch_of_.at(a->index.ind_array);
-        spec.ghost_slot = ghost_data_slot_.at(a->array);
+        spec.batch = a->index.direct
+                         ? static_cast<int>(meta_.ind_names.size())
+                         : batch_of_.at(a->index.ind_array);
       }
       // Deduplicate identical operand specs by (group, batch, array).
       i32 slot = -1;
@@ -173,8 +168,6 @@ class SymbolicCompiler {
  private:
   ForallMeta& meta_;
   const std::map<std::string, int>& batch_of_;
-  const std::map<std::string, int>& ghost_data_slot_;
-  const std::map<std::string, int>& ghost_direct_slot_;
 };
 
 struct Lowerer {
@@ -230,8 +223,17 @@ struct Lowerer {
     m.expr_flops_per_iter = scan.flops;
     m.mem_refs_per_iter = scan.mem_refs;
     m.ind_names = scan.ind_names;
-    m.read_data.assign(scan.read_data.begin(), scan.read_data.end());
-    m.read_direct.assign(scan.read_direct.begin(), scan.read_direct.end());
+    // An array read both ways: every direct read becomes a data read
+    // through the identity batch (ForallMeta::identity_batch).
+    m.identity_batch = std::any_of(
+        scan.read_direct.begin(), scan.read_direct.end(),
+        [&scan](const std::string& a) { return scan.read_data.contains(a); });
+    const std::set<std::string>& read_data =
+        m.identity_batch ? read_any : scan.read_data;
+    m.read_data.assign(read_data.begin(), read_data.end());
+    if (!m.identity_batch) {
+      m.read_direct.assign(scan.read_direct.begin(), scan.read_direct.end());
+    }
 
     std::set<std::string> data_arrays = scan.read_data;
     std::set<std::string> direct_arrays = scan.read_direct;
@@ -251,14 +253,7 @@ struct Lowerer {
     for (std::size_t k = 0; k < m.ind_names.size(); ++k) {
       batch_of[m.ind_names[k]] = static_cast<int>(k);
     }
-    std::map<std::string, int> ghost_data_slot, ghost_direct_slot;
-    for (const auto& name : m.read_data) {
-      ghost_data_slot[name] = static_cast<int>(ghost_data_slot.size());
-    }
-    for (const auto& name : m.read_direct) {
-      ghost_direct_slot[name] = static_cast<int>(ghost_direct_slot.size());
-    }
-    SymbolicCompiler compiler(m, batch_of, ghost_data_slot, ghost_direct_slot);
+    SymbolicCompiler compiler(m, batch_of);
     m.code.resize(f.body.size());
     for (std::size_t si = 0; si < f.body.size(); ++si) {
       const auto& stmt = f.body[si];
@@ -298,14 +293,10 @@ struct Lowerer {
         static_cast<i32>(plan.code.size());  // warm entry
     plan.code.push_back({PlanOp::ExecBegin, fi, -1, -1});
     for (i32 k = 0; k < static_cast<i32>(m.read_data.size()); ++k) {
-      plan.code.push_back({PlanOp::Pack, fi, 0, k});
-      plan.code.push_back({PlanOp::Exchange, fi, 0, k});
-      plan.code.push_back({PlanOp::Unpack, fi, 0, k});
+      plan.code.push_back({PlanOp::Gather, fi, 0, k});
     }
     for (i32 k = 0; k < static_cast<i32>(m.read_direct.size()); ++k) {
-      plan.code.push_back({PlanOp::Pack, fi, 1, k});
-      plan.code.push_back({PlanOp::Exchange, fi, 1, k});
-      plan.code.push_back({PlanOp::Unpack, fi, 1, k});
+      plan.code.push_back({PlanOp::Gather, fi, 1, k});
     }
     plan.code.push_back({PlanOp::Compute, fi, -1, -1});
     for (i32 k = 0; k < static_cast<i32>(m.n_accs); ++k) {

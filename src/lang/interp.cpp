@@ -79,7 +79,7 @@ struct DecompInfo {
 /// executor invocation, gathered once per block.
 struct RuntimeOperand {
   const i64* refs = nullptr;  // localized index per local iteration
-  const f64* view = nullptr;  // the read array's [owned | ghost] view
+  const f64* view = nullptr;  // the read array's [owned | ghost] buffer
 };
 
 /// Per-statement write routing, resolved against current storage at the top
@@ -103,14 +103,15 @@ struct WriteSlot {
 /// and the operand and write routing.
 struct LoopPlan {
   explicit LoopPlan(const ForallMeta& m)
-      : meta(&m), ind(m.ind_names.size()) {}
+      : meta(&m), ind(m.ind_names.size() + (m.identity_batch ? 1 : 0)) {}
 
   const ForallMeta* meta = nullptr;  ///< borrowed from the ProgramPlan
 
   std::shared_ptr<const dist::Distribution> iter_space;
   std::shared_ptr<const dist::Distribution> data_dist;  // may be null
-  /// One 0-based batch per indirection array, in ind_names order, localized
-  /// against data_dist. Its build stamp is the plan's.
+  /// One 0-based batch per indirection array, in ind_names order, then the
+  /// identity batch if the meta has one, localized against data_dist. Its
+  /// build stamp is the plan's.
   core::IrregularLoopPlan ind;
   std::vector<i64> iter_ids;  ///< my 0-based iteration ids, local order
 
@@ -123,8 +124,9 @@ struct LoopPlan {
   /// an attached translation cache binds to one DAD.
   core::InspectorWorkspace direct_iws;
 
-  bool has_direct = false;
-  core::Localized direct_loc;  ///< batch = iter_ids against iter_space
+  /// iter_ids against iter_space; built only for direct reads and direct
+  /// REDUCEs (direct assigns localize their own schedules).
+  core::Localized direct_loc;
 
   /// How each statement's target is addressed, ordered by write run. A run
   /// is the statements that write one storage, one accumulator or one
@@ -155,7 +157,6 @@ struct LoopPlan {
     int group = 0;  ///< 0: ind.loc batch, 1: direct_loc
     int batch = -1;
     const ArrayInfo* array = nullptr;
-    int ghost_slot = -1;  ///< index into reads_data / reads_direct
   };
   std::vector<OperandRt> operands;
   /// Scalar slots bound to std::map node storage (address-stable), in the
@@ -164,11 +165,6 @@ struct LoopPlan {
 
   std::vector<ArrayInfo*> reads_data;    ///< gathered via ind.loc
   std::vector<ArrayInfo*> reads_direct;  ///< gathered via direct_loc
-  /// Index of a read's view in ExecScratch::views: data reads, then direct.
-  [[nodiscard]] std::size_t view_index(int group, int slot) const {
-    const auto k = static_cast<std::size_t>(slot);
-    return group == 0 ? k : reads_data.size() + k;
-  }
   /// Executor staging shared by every gather/scatter through this plan
   /// (staging() re-slices per schedule), plus reusable accumulator scratch —
   /// all sized on the first sweep so later sweeps allocate nothing.
@@ -194,10 +190,6 @@ struct ExecScratch {
   /// or repair, and the spans that hand them over.
   std::vector<std::vector<i64>> slices;
   std::vector<std::span<const i64>> slice_spans;
-  /// Localized view per read, laid out [owned | ghost] so a localized
-  /// reference indexes it directly: EXCHANGE fills the ghost tail, COMPUTE
-  /// refreshes the owned head. Only grows, so inner buffers keep capacity.
-  std::vector<std::vector<f64>> views;
   std::vector<f64> columns;  ///< COMPUTE's operand, result and stack columns
 };
 
@@ -208,7 +200,6 @@ struct ForallRt {
   std::shared_ptr<LoopPlan> plan;
   i64 n = 0;  ///< iteration count this execution
   std::vector<dist::Dad> guard_data, guard_ind;
-  std::span<f64> stage;  ///< PACK -> EXCHANGE handoff
   std::optional<rt::ClockSection> exec_section;
 };
 
@@ -323,13 +314,15 @@ ArrayInfo& lookup_array(Instance::State& st, const std::string& name,
 // ---------------------------------------------------------------------------
 
 /// The FORALL's indirection slices as 0-based data indices, in ind_names
-/// order, each value checked against the data extent @p extent. Fills the
-/// state's slice scratch (grow-only) and returns it as spans.
+/// order, each value checked against the data extent; then, for a meta with
+/// an identity batch, this rank's 0-based iteration ids in local order.
+/// Fills the state's slice scratch (grow-only) and returns it as spans.
 std::span<const std::span<const i64>> zero_based_slices(Instance::State& st,
-                                                        const ForallMeta& m,
-                                                        i64 extent) {
+                                                        const LoopPlan& plan) {
+  const ForallMeta& m = *plan.meta;
+  const i64 extent = plan.data_dist->size();
   ExecScratch& scratch = st.scratch;
-  scratch.slices.resize(m.ind_names.size());
+  scratch.slices.resize(plan.ind.batches.size());
   scratch.slice_spans.clear();
   for (std::size_t j = 0; j < m.ind_names.size(); ++j) {
     const auto seg = st.arrays.at(m.ind_names[j]).integer->local();
@@ -345,6 +338,14 @@ std::span<const std::span<const i64>> zero_based_slices(Instance::State& st,
       out[i] = seg[i] - 1;  // Fortran subscripts are 1-based
     }
     scratch.slice_spans.emplace_back(out);
+  }
+  if (m.identity_batch) {
+    std::vector<i64>& ids = scratch.slices.back();
+    ids.resize(static_cast<std::size_t>(plan.iter_space->my_local_size()));
+    for (std::size_t l = 0; l < ids.size(); ++l) {
+      ids[l] = plan.iter_space->my_global_of(static_cast<i64>(l));
+    }
+    scratch.slice_spans.emplace_back(ids);
   }
   return scratch.slice_spans;
 }
@@ -424,7 +425,7 @@ void plan_partition(rt::Process& p, Instance::State& st, const ForallMeta& m,
         dist::build_remap(p, *plan.iter_space, *plan.iter_space);
   } else {
     plan.ind.partition(p, *plan.iter_space, *plan.data_dist,
-                       zero_based_slices(st, m, plan.data_dist->size()));
+                       zero_based_slices(st, plan));
   }
   plan.iter_ids = plan.ind.iters.iter_dist->my_globals();
   phases.remap += section.elapsed_sec();
@@ -437,8 +438,11 @@ void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
                    LoopPlan& plan, PhaseTimes& phases) {
   rt::ClockSection section(p.clock());
   if (!m.ind_names.empty()) plan.ind.localize(p, *plan.data_dist);
-  plan.has_direct = !m.direct_arrays.empty();
-  if (plan.has_direct) {
+  const bool direct_reduce =
+      std::any_of(m.body.begin(), m.body.end(), [](const BodySym& b) {
+        return b.direct && b.op != LoopReduceOp::Assign;
+      });
+  if (!m.read_direct.empty() || direct_reduce) {
     core::localize(p, *plan.iter_space, plan.iter_ids, plan.direct_iws,
                    plan.direct_loc);
   }
@@ -464,7 +468,7 @@ void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
   plan.operands.reserve(m.operands.size());
   for (const auto& o : m.operands) {
     plan.operands.push_back(
-        {o.group, o.batch, &st.arrays.at(o.array), o.ghost_slot});
+        {o.group, o.batch, &st.arrays.at(o.array)});
   }
   CHAOS_CHECK(m.max_stack <= kMaxExprDepth,
               "internal: the parser's depth limit bounds the FORALL stack");
@@ -557,20 +561,20 @@ void plan_localize(rt::Process& p, Instance::State& st, const ForallMeta& m,
 /// Incremental repair of a cached LoopPlan whose guard failed ONLY the
 /// last_mod stamp (an indirection array was rewritten in place; every DAD
 /// unchanged): the core plan repairs the indirection batches and their data
-/// schedule, then each non-direct assign schedule is spliced; direct
-/// schedules localize iter_ids, which an indirection rewrite cannot change.
+/// schedule (an identity batch's delta is always empty), then each
+/// non-direct assign schedule is spliced; direct schedules localize
+/// iter_ids, which an indirection rewrite cannot change.
 /// Collective, booked as inspector time. Returns false (machine-uniform)
 /// when any vote rejects, leaving the plan NOT ready so the caller's full
 /// rebuild path takes over (DESIGN.md §14).
-bool repair_plan(rt::Process& p, Instance::State& st, const ForallMeta& m,
-                 i64 n, LoopPlan& plan, PhaseTimes& phases) {
+bool repair_plan(rt::Process& p, Instance::State& st, i64 n, LoopPlan& plan,
+                 PhaseTimes& phases) {
   if (plan.iter_space->size() != n) {
     ++p.stats().repair_fallbacks;  // the same on every rank: no vote
     return false;
   }
   rt::ClockSection section(p.clock());
-  bool ok = plan.ind.repair(p, zero_based_slices(st, m, plan.data_dist->size()),
-                            *plan.data_dist);
+  bool ok = plan.ind.repair(p, zero_based_slices(st, plan), *plan.data_dist);
   for (std::size_t slot = 0; ok && slot < plan.assign_loc.size(); ++slot) {
     const int b = plan.assign_batch[slot];
     if (b < 0) continue;  // direct assign: iter_ids references unchanged
@@ -691,58 +695,26 @@ void write_run(const WriteSlot* first, const WriteSlot* last, i64 l0,
   }
 }
 
-/// One gathered read: the array, its [owned | ghost] view and the schedule
-/// that fills the view's ghost tail.
-struct ReadSlot {
-  ArrayInfo* array = nullptr;
-  std::vector<f64>* view = nullptr;
-  const core::CommSchedule* sched = nullptr;
-
-  /// Exactly the schedule's nghost elements, the size the gather checks.
-  [[nodiscard]] std::span<f64> ghost_tail() const {
-    return std::span<f64>(*view).subspan(
-        static_cast<std::size_t>(sched->nlocal_at_build));
-  }
-};
-
-ReadSlot read_slot(LoopPlan& plan, ExecScratch& scratch, i32 group, i32 k) {
-  const std::size_t nreads = plan.reads_data.size() + plan.reads_direct.size();
-  if (scratch.views.size() < nreads) scratch.views.resize(nreads);
-  std::vector<f64>* view = &scratch.views[plan.view_index(group, k)];
+/// GATHER: fills one read array's ghost tail through its group's schedule.
+void exec_gather(rt::Process& p, LoopPlan& plan, i32 group, i32 k) {
   const auto i = static_cast<std::size_t>(k);
-  if (group == 0) return {plan.reads_data[i], view, &plan.ind.loc.schedule};
-  return {plan.reads_direct[i], view, &plan.direct_loc.schedule};
-}
-
-/// PACK: sizes the read array's view and copies requested owned elements
-/// into the plan's staging buffer. Returns the staged span for the EXCHANGE
-/// that must follow.
-std::span<f64> exec_pack(LoopPlan& plan, ExecScratch& scratch, i32 group,
-                         i32 k) {
-  const ReadSlot r = read_slot(plan, scratch, group, k);
-  r.view->resize(
-      static_cast<std::size_t>(r.sched->nlocal_at_build + r.sched->nghost));
-  return core::gather_pack<f64>(*r.sched, r.array->real->local(),
-                                r.ghost_tail(), plan.ws);
-}
-
-/// EXCHANGE: the collective all-to-all into the view's ghost tail.
-void exec_exchange(rt::Process& p, LoopPlan& plan, ExecScratch& scratch,
-                   i32 group, i32 k, std::span<const f64> stage) {
-  const ReadSlot r = read_slot(plan, scratch, group, k);
-  core::gather_exchange<f64>(p, *r.sched, stage, r.ghost_tail());
-}
-
-/// UNPACK: the gather's modeled memory charge.
-void exec_unpack(rt::Process& p, LoopPlan& plan, i32 group) {
-  const core::CommSchedule& sched =
-      group == 0 ? plan.ind.loc.schedule : plan.direct_loc.schedule;
-  core::gather_unpack(p, sched);
+  if (group == 0) {
+    core::gather_ghosts<f64>(p, plan.ind.loc.schedule,
+                             *plan.reads_data[i]->real, plan.ws);
+  } else {
+    core::gather_ghosts<f64>(p, plan.direct_loc.schedule,
+                             *plan.reads_direct[i]->real, plan.ws);
+  }
 }
 
 /// COMPUTE: resolves operand and write slots against current storage, runs
 /// the sweep block by block, and charges the modeled per-iteration cost.
-void exec_compute(rt::Process& p, LoopPlan& plan, ExecScratch& scratch) {
+///
+/// Kept out of line, as eval_block is, so COMPUTE's code does not move with
+/// the rest of run_vm: GCC 12 inlines it there otherwise, and VM step times
+/// have followed code placement (see eval_block). CI checks the symbol.
+[[gnu::noinline]] void exec_compute(rt::Process& p, LoopPlan& plan,
+                                    ExecScratch& scratch) {
   const ForallMeta& m = *plan.meta;
 
   // Reduction accumulators: [0, nlocal + nghost) of the group's schedule.
@@ -764,21 +736,9 @@ void exec_compute(rt::Process& p, LoopPlan& plan, ExecScratch& scratch) {
         static_cast<std::size_t>(plan.assign_loc[k].schedule.nghost), 0.0);
   }
 
-  // The gathers filled each view's ghost tail; refresh its owned head (the
-  // PACKs above checked that the local segment still has the schedule's
-  // size and sized the views).
-  const auto refresh = [&](int group, const std::vector<ArrayInfo*>& reads) {
-    for (std::size_t k = 0; k < reads.size(); ++k) {
-      const auto local = reads[k]->real->local();
-      auto& view = scratch.views[plan.view_index(group, static_cast<int>(k))];
-      std::copy(local.begin(), local.end(), view.begin());
-    }
-  };
-  refresh(0, plan.reads_data);
-  refresh(1, plan.reads_direct);
-
-  // Resolve operand slots against current storage (pointers may move after
-  // a redistribute, but that invalidates the plan anyway).
+  // Resolve operand slots against current storage: each read array's
+  // [owned | ghost] buffer, whose tail the GATHERs above filled (pointers
+  // may move after a redistribute, but that invalidates the plan anyway).
   plan.runtime_ops.resize(plan.operands.size());
   for (std::size_t k = 0; k < plan.operands.size(); ++k) {
     const auto& spec = plan.operands[k];
@@ -787,7 +747,7 @@ void exec_compute(rt::Process& p, LoopPlan& plan, ExecScratch& scratch) {
                  ? plan.ind.loc.refs[static_cast<std::size_t>(spec.batch)]
                        .data()
                  : plan.direct_loc.refs.data();
-    o.view = scratch.views[plan.view_index(spec.group, spec.ghost_slot)].data();
+    o.view = spec.array->real->view().data();
   }
   plan.write_slots.resize(plan.writes.size());
   for (std::size_t k = 0; k < plan.writes.size(); ++k) {
@@ -1262,7 +1222,7 @@ void Instance::run_vm(rt::Process& p) {
             // splice before paying a full re-inspection (DESIGN.md §14).
             auto cand =
                 std::static_pointer_cast<LoopPlan>(std::move(pr.product));
-            if (repair_plan(p, st, m, fx.n, *cand, phases_)) {
+            if (repair_plan(p, st, fx.n, *cand, phases_)) {
               st.plan_cache.note_repaired(m.loop_id, st.registry);
               fx.plan = std::move(cand);
               pc = ins.b;  // repaired entry: straight to EXEC_BEGIN
@@ -1311,21 +1271,9 @@ void Instance::run_vm(rt::Process& p) {
         ++pc;
         break;
       }
-      case PlanOp::Pack: {
+      case PlanOp::Gather: {
         ForallRt& fx = st.frt[static_cast<std::size_t>(ins.a)];
-        fx.stage = exec_pack(*fx.plan, st.scratch, ins.b, ins.c);
-        ++pc;
-        break;
-      }
-      case PlanOp::Exchange: {
-        ForallRt& fx = st.frt[static_cast<std::size_t>(ins.a)];
-        exec_exchange(p, *fx.plan, st.scratch, ins.b, ins.c, fx.stage);
-        ++pc;
-        break;
-      }
-      case PlanOp::Unpack: {
-        ForallRt& fx = st.frt[static_cast<std::size_t>(ins.a)];
-        exec_unpack(p, *fx.plan, ins.b);
+        exec_gather(p, *fx.plan, ins.b, ins.c);
         ++pc;
         break;
       }

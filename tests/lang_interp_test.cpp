@@ -84,6 +84,20 @@ C$    ALIGN x, y, ia WITH reg
        {{"IA", {1, 2, 3, 4}}},
        "line 9:9: mixed reduction operators on array 'Y' in one FORALL"},
       {R"(
+      REAL*8 x(4), y(4)
+      INTEGER ia(4)
+C$    DECOMPOSITION reg(4), reg2(4)
+C$    DISTRIBUTE reg(BLOCK), reg2(BLOCK)
+C$    ALIGN x, y WITH reg
+C$    ALIGN ia WITH reg2
+      FORALL i = 1, 4
+        y(ia(i)) = x(i) + x(ia(i))
+      END FORALL
+)",
+       {{"IA", {1, 2, 3, 4}}},
+       "line 8:7: directly indexed arrays must be aligned with the iteration "
+       "space"},
+      {R"(
       REAL*8 x(4), x(4)
 )",
        {},

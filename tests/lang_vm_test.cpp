@@ -3,16 +3,18 @@
 // assignments, MAX and MIN, within 1e-12 of the sum's scale for ADD. A second
 // run on a fresh machine must be bit-identical in results, per-rank modeled
 // phase times, both reuse ledgers and nmod. The Section 3 ledgers, the cost of
-// turning reuse off, Figure-4 phase accounting and the run on a shrunken
-// machine are pinned too.
+// turning reuse off, Figure-4 phase accounting, one gather per read array and
+// the run on a shrunken machine are pinned too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "lang/bytecode.hpp"
 #include "lang/interp.hpp"
 #include "lang/parser.hpp"
 #include "lang/reference.hpp"
@@ -470,6 +472,24 @@ C$    ALIGN x, y, ia, ib WITH reg
   repair.plan_repairs = 3;
   repair.plan_fallbacks = 0;
   out.push_back(repair);
+
+  // The same loop also reading X as x(i): the direct read rides the
+  // identity batch, which every repair carries with an empty delta.
+  Scenario both = repair;
+  both.name = "both_ways_repair";
+  both.source = R"(
+      REAL*8 x(n), y(n)
+      INTEGER ia(n), ib(n)
+C$    DECOMPOSITION reg(n)
+C$    DISTRIBUTE reg(BLOCK)
+C$    ALIGN x, y, ia, ib WITH reg
+      DO step = 1, 4
+      FORALL i = 1, n
+        y(ia(i)) = 2.0 * x(ib(i)) + x(i) + step
+      END FORALL
+      END DO
+)";
+  out.push_back(both);
   return out;
 }
 
@@ -538,6 +558,27 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Scenario>& info) {
       return info.param.name;
     });
+
+TEST(LangVm, OneGatherPerReadArray) {
+  // several_blocks reads X and W both directly and through indirection, and
+  // S directly: the identity batch gives each read array one schedule and
+  // one ghost tail, so one data-group GATHER each.
+  const auto all = scenarios();
+  const auto it = std::find_if(all.begin(), all.end(), [](const Scenario& sc) {
+    return sc.name == "several_blocks";
+  });
+  ASSERT_NE(it, all.end());
+  const auto prog = lang::compile(it->source);
+  const lang::ProgramPlan plan = lang::lower(prog);
+  std::vector<std::string> gathered;
+  for (const auto& ins : plan.code) {
+    if (ins.op != lang::PlanOp::Gather) continue;
+    EXPECT_EQ(ins.b, 0);
+    const auto& meta = plan.foralls[static_cast<std::size_t>(ins.a)];
+    gathered.push_back(meta.read_data[static_cast<std::size_t>(ins.c)]);
+  }
+  EXPECT_EQ(gathered, (std::vector<std::string>{"S", "W", "X"}));
+}
 
 TEST(LangVm, DisablingReuseRunsInspectorEveryIteration) {
   const auto d = tiny_edges();
